@@ -28,11 +28,12 @@ strategy, and partitioning policy — but they all run the same lifecycle:
 :class:`FocusedEstimatorBase` owns that skeleton — warmup buffering,
 histogram build/rebuild, reallocation scheduling, quantile merge/split
 maintenance, obs event emission, ``obs_state()``/``estimate_bounds()``
-plumbing, and the batched ``update_many`` ingestion path — while the five
-estimator subclasses override only the small policy hooks where they
-genuinely differ (``_target_interval``, ``_route_add``/``_route_remove``,
-``_should_reallocate``, partitioning sources).  Adding a new scope or
-threshold policy is one subclass, not a sixth parallel module.
+plumbing, and the one batched ingestion loop behind ``update_many`` and
+``update_columns`` — while the five estimator subclasses override only the
+small policy hooks where they genuinely differ (``_target_interval``,
+``_route_add``/``_route_remove``, ``_should_reallocate``, partitioning
+sources).  Adding a new scope or threshold policy is one subclass, not a
+sixth parallel module.
 
 Two mixins capture the recurring summary shapes:
 
@@ -334,50 +335,19 @@ class FocusedEstimatorBase:
 
         ``collect="all"`` (the default) is exactly equivalent to
         ``[self.update(r) for r in records]`` — the parity suite enforces
-        it.  ``"last"`` returns only the final estimate (``[]`` for an
-        empty chunk) and ``"none"`` returns ``[]``; both leave the summary
-        in the identical post-chunk state while skipping per-record answer
-        extraction.
-
-        When a family kernel supports the configuration (numpy present,
-        tracing off, and whatever the family's own gates require), the
-        steady-state remainder of the chunk is staged as x/y columns and
-        ingested through :meth:`_steady_columns`; otherwise it falls back
-        to the hoisted scalar loop.
+        it.  ``"none"`` returns ``[]`` and leaves the summary in the
+        identical post-chunk state while skipping per-record answer
+        extraction.  The caller's records reach the kernel as they are;
+        the loop itself is :meth:`_ingest_batch`.
         """
-        if self._timestamped:
-            raise ConfigurationError(
-                "this estimator ingests (time, record) pairs; use update_many_timed()"
-            )
-        check_collect(collect)
         records = [r if isinstance(r, Record) else Record(*r) for r in records]
-        outputs: list[float] = []
-        i = 0
-        n = len(records)
-        collect_all = collect == "all"
-        while i < n and self._buffer is not None:
-            if collect_all:
-                outputs.append(self.update(records[i]))
-            else:
-                self._absorb(records[i])
-            i += 1
-        if i < n:
-            if self._columns_supported(collect):
-                for lo in range(i, n, COLUMN_CHUNK):
-                    chunk = records[lo : lo + COLUMN_CHUNK]
-                    xs, ys = records_to_columns(chunk)
-                    self._steady_columns(xs, ys, chunk.__getitem__, outputs, collect)
-            elif collect_all:
-                self._update_batch(records, i, outputs)
-            else:
-                absorb = self._absorb
-                for j in range(i, n):
-                    absorb(records[j])
-        if collect_all:
-            return outputs
-        if collect == "last" and n:
-            return [self.estimate()]
-        return []
+        return self._ingest_batch(
+            len(records),
+            records.__getitem__,
+            lambda lo: records[lo:],
+            lambda lo, hi: records_to_columns(records[lo:hi]),
+            collect,
+        )
 
     def update_columns(
         self,
@@ -393,54 +363,64 @@ class FocusedEstimatorBase:
         kernel without materialising records (records are built lazily
         only for warmup tuples and kernel boundary events).
         """
+        x_col, y_col = as_columns(xs, ys)
+        return self._ingest_batch(
+            len(x_col),
+            lambda j: Record(float(x_col[j]), float(y_col[j])),
+            lambda lo: columns_to_records(x_col[lo:], y_col[lo:]),
+            lambda lo, hi: (x_col[lo:hi], y_col[lo:hi]),
+            collect,
+        )
+
+    def _ingest_batch(self, n, record_at, records_from, columns, collect: str) -> list[float]:
+        """The one batched step loop behind every batch entry point.
+
+        An adapter describes its chunk of ``n`` tuples through three
+        accessors, each in the form it already holds them:
+        ``record_at(j)`` returns tuple ``j`` as a :class:`Record`,
+        ``records_from(j)`` returns tuples ``j..n-1`` as a list of
+        records, and ``columns(lo, hi)`` returns tuples ``lo..hi-1`` as an
+        ``(xs, ys)`` float64 column pair.
+
+        Warmup tuples run one at a time through the scalar step.  The
+        steady-state remainder goes, ``COLUMN_CHUNK`` tuples at a time,
+        through the family kernel's :meth:`_steady_columns` when
+        :meth:`_columns_supported` allows it (numpy present, tracing off,
+        and whatever the family's own gates require), and through the
+        scalar loop otherwise.
+        """
         if self._timestamped:
             raise ConfigurationError(
-                "this estimator ingests (time, record) pairs; use "
-                "update_columns_timed()"
+                "this estimator ingests (time, record) pairs; use update_many_timed()"
             )
         check_collect(collect)
-        x_col, y_col = as_columns(xs, ys)
-        n = len(x_col)
+        collect_all = collect == "all"
         outputs: list[float] = []
         i = 0
-        collect_all = collect == "all"
         while i < n and self._buffer is not None:
-            record = Record(float(x_col[i]), float(y_col[i]))
             if collect_all:
-                outputs.append(self.update(record))
+                outputs.append(self.update(record_at(i)))
             else:
-                self._absorb(record)
+                self._absorb(record_at(i))
             i += 1
-        if i < n:
-            if self._columns_supported(collect):
-                for lo in range(i, n, COLUMN_CHUNK):
-                    sx = x_col[lo : lo + COLUMN_CHUNK]
-                    sy = y_col[lo : lo + COLUMN_CHUNK]
-
-                    def record_at(j: int, sx=sx, sy=sy) -> Record:
-                        return Record(float(sx[j]), float(sy[j]))
-
-                    self._steady_columns(sx, sy, record_at, outputs, collect)
-            else:
-                remaining = columns_to_records(x_col[i:], y_col[i:])
-                if collect_all:
-                    self._update_batch(remaining, 0, outputs)
-                else:
-                    absorb = self._absorb
-                    for record in remaining:
-                        absorb(record)
-        if collect_all:
+        if i >= n:
             return outputs
-        if collect == "last" and n:
-            return [self.estimate()]
-        return []
-
-    def _update_batch(self, records: list[Record], start: int, outputs: list[float]) -> None:
-        """Steady-state batch loop: the scalar fallback hot path."""
-        update = self.update
-        append = outputs.append
-        for record in records[start:] if start else records:
-            append(update(record))
+        if self._columns_supported(collect):
+            for lo in range(i, n, COLUMN_CHUNK):
+                xs, ys = columns(lo, lo + COLUMN_CHUNK)
+                self._steady_columns(
+                    xs, ys, lambda j, lo=lo: record_at(lo + j), outputs, collect
+                )
+        elif collect_all:
+            update = self.update
+            append = outputs.append
+            for record in records_from(i):
+                append(update(record))
+        else:
+            absorb = self._absorb
+            for record in records_from(i):
+                absorb(record)
+        return outputs
 
     def _columns_supported(self, collect: str) -> bool:
         """Whether :meth:`_steady_columns` can take chunks right now.

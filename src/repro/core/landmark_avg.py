@@ -33,9 +33,6 @@ rebuilding).
 
 from __future__ import annotations
 
-import warnings
-from typing import Any
-
 from repro.core.focused import STRATEGIES, FocusedEstimatorBase, TwoTailSummaryMixin
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError
@@ -48,24 +45,6 @@ from repro.streams.model import Record
 from repro.structures.welford import RunningMoments
 
 __all__ = ["LandmarkAvgEstimator", "STRATEGIES"]
-
-_MOVED_TO_MASS = ("band_mass", "band_bounds", "pour_uniform")
-
-
-def __getattr__(name: str) -> Any:
-    # Deprecation shim (one release): the band-mass helpers moved to the
-    # histogram layer, where they sit with the other pure bucket functions.
-    if name in _MOVED_TO_MASS:
-        warnings.warn(
-            f"repro.core.landmark_avg.{name} has moved to repro.histograms.mass; "
-            "this alias will be removed in the next release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.histograms import mass
-
-        return getattr(mass, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):

@@ -24,8 +24,10 @@ Differences from the count-window estimators:
 The summary shape, routing, reallocation, and answers come from
 :class:`~repro.core.focused.TwoTailSummaryMixin`; the timestamped drain
 replaces the kernel's warmup/ring plumbing, so this class keeps its own
-``update(time, record)`` entry point and ingests batches via
-:meth:`update_many_timed`.
+``update(time, record)`` entry point and ingests batches of
+``(time, record)`` pairs via :meth:`update_many_timed` (``collect="all"``
+or ``"none"``).  The kernel's ``update_many``/``update_columns`` batch
+core takes bare records, so on this class both raise and point there.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from repro.exceptions import ConfigurationError, StreamError
 from repro.histograms.partition import uniform_boundaries
 from repro.obs.sink import ObsSink
 from repro.obs.trace import Tracer
-from repro.streams.columns import as_columns
 from repro.streams.model import Record, check_collect, ensure_finite
 from repro.structures.time_intervals import TimeIntervalExtremaTracker
 from repro.structures.welford import RunningMoments
@@ -80,6 +81,8 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
     Use :meth:`update` with an explicit timestamp::
 
         estimator.update(time=call.time, record=Record(call.duration))
+
+    or :meth:`update_many_timed` for a chunk of ``(time, record)`` pairs.
     """
 
     #: No merge/split swaps: rebuilds are always uniform over the live
@@ -280,10 +283,9 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
 
         The timestamped step is dominated by the variable-length expiry
         drain, so there is no vectorised fast path — this is the exact
-        batch transcription of :meth:`update` (``update_many`` on this
-        class raises, pointing here).  ``collect`` follows the kernel
-        convention: ``"all"`` returns one estimate per pair, ``"last"``
-        just the final estimate, ``"none"`` skips estimation entirely.
+        batch transcription of :meth:`update`.  ``collect`` follows the
+        kernel convention: ``"all"`` returns one estimate per pair,
+        ``"none"`` skips estimation entirely and returns ``[]``.
         """
         check_collect(collect)
         absorb = self._absorb_timed
@@ -294,36 +296,9 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
                 absorb(time, record)
                 outputs.append(estimate())
             return outputs
-        consumed = False
         for time, record in timed:
             absorb(time, record)
-            consumed = True
-        if collect == "last" and consumed:
-            return [self.estimate()]
         return []
-
-    def update_columns_timed(
-        self, times, xs, ys=None, collect: str = "all"
-    ) -> list[float]:
-        """Columnar timed entry: parallel ``times``/``xs``/``ys`` columns.
-
-        Accepts sequences or numpy arrays; ``ys`` defaults to unit
-        weights.  Tuples are materialised lazily from the columns and run
-        through the scalar timestamped step — the expiry drain's
-        variable length rules out the count-window vectorised kernels,
-        but the columnar signature keeps the transport symmetric with
-        :meth:`~repro.streams.model.StreamAlgorithm.update_columns` so
-        sharded/batched pipelines can hand every family the same arrays.
-        """
-        check_collect(collect)
-        col_x, col_y = as_columns(xs, ys)
-        t_list = times.tolist() if hasattr(times, "tolist") else [float(t) for t in times]
-        if len(t_list) != len(col_x):
-            raise ConfigurationError(
-                f"times and xs have mismatched lengths: {len(t_list)} != {len(col_x)}"
-            )
-        pairs = zip(t_list, map(Record, col_x.tolist(), col_y.tolist()))
-        return self.update_many_timed(pairs, collect=collect)
 
     def _extra_gauges(self) -> dict[str, float]:
         gauges = super()._extra_gauges()

@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
 #: Valid ``collect=`` modes for batched ingestion.
-COLLECT_MODES = ("all", "last", "none")
+COLLECT_MODES = ("all", "none")
 
 
 def check_collect(collect: str) -> None:
@@ -61,6 +61,14 @@ class StreamAlgorithm(Protocol):
     Implementations consume one input record per call and return the current
     value of their output sequence.  They must use bounded state (up to the
     logarithmic-growth caveat the paper notes).
+
+    The two batch entries, :meth:`update_many` and :meth:`update_columns`,
+    only change how tuples arrive, never what the step does; both take
+    ``collect="all"`` (one output per tuple) or ``collect="none"`` (no
+    outputs).  The focused estimators run both through one kernel loop
+    (``FocusedEstimatorBase._ingest_batch``); the baselines, heuristics,
+    exact oracle and accuracy auditor mix in :class:`BatchedIngest`, which
+    loops over :meth:`update`.
     """
 
     def update(self, record: Record) -> float:
@@ -74,12 +82,11 @@ class StreamAlgorithm(Protocol):
 
         ``collect="all"`` (the default) must be exactly equivalent to
         ``[self.update(r) for r in records]`` — batching is an ingestion
-        fast path, never a semantic change.  ``"last"`` ingests the whole
-        chunk but returns only the final output (``[]`` on an empty
-        chunk); ``"none"`` always returns ``[]``.  Both relaxed modes
-        leave the summary in the identical post-chunk state and let
-        implementations skip per-record answer extraction, avoiding the
-        O(n) output list on million-tuple batches.
+        fast path, never a semantic change.  ``collect="none"`` ingests
+        the chunk into the identical post-chunk state but returns ``[]``,
+        letting implementations skip per-record answer extraction and the
+        O(n) output list on million-tuple batches; call ``estimate()``
+        afterwards for the final answer.
         """
         ...
 
@@ -119,13 +126,8 @@ class BatchedIngest:
             return [
                 update(r if isinstance(r, Record) else Record(*r)) for r in records
             ]
-        value = None
-        seen = False
         for r in records:
-            value = update(r if isinstance(r, Record) else Record(*r))
-            seen = True
-        if collect == "last" and seen:
-            return [value]
+            update(r if isinstance(r, Record) else Record(*r))
         return []
 
     def update_columns(

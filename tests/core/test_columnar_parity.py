@@ -1,9 +1,9 @@
 """Batch-vs-scalar golden parity for the columnar ingestion kernels.
 
-``update_columns`` (and the timed variant on the time-window estimator)
-must be a float-for-float transcription of the scalar ``update`` loop:
+``update_columns`` (and ``update_many_timed`` on the time-window
+estimator) must be a float-for-float transcription of the scalar ``update`` loop:
 same per-record outputs under ``collect="all"``, same final estimate and
-internal state under ``collect="last"``/``"none"``, same exception (with
+internal state under ``collect="none"``, same exception (with
 the same partial state) when a chunk holds a record the scalar path
 would reject.  These tests pin that equivalence for all five estimator
 families across batch sizes 1, 7 and 4096, through mid-batch
@@ -24,6 +24,7 @@ import repro.core.sliding_avg
 import repro.core.sliding_extrema
 import repro.streams.columns
 from repro.core.engine import build_estimator
+from repro.core.exact import ExactOracle
 from repro.core.query import CorrelatedQuery
 from repro.core.time_sliding import TimeSlidingEstimator
 from repro.datasets.registry import load_dataset
@@ -120,28 +121,40 @@ def test_collect_all_matches_scalar(family, batch_size, stream, columns):
 
 @pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-@pytest.mark.parametrize("collect", ["last", "none"])
+@pytest.mark.parametrize("collect", ["none"])
 def test_lean_collect_modes_match_scalar_state(
     family, batch_size, collect, stream, columns
 ):
-    """collect='last'/'none' skip outputs but land in the identical state."""
+    """collect='none' skips outputs but lands in the identical state."""
     xs, ys = columns
     expected, single = _scalar_outputs(family, stream)
     batched = _build(family)
-    last: list[float] = []
     for i in range(0, len(xs), batch_size):
         out = batched.update_columns(
             xs[i : i + batch_size], ys[i : i + batch_size], collect=collect
         )
-        if collect == "none":
-            assert out == []
-        else:
-            assert len(out) <= 1
-            last = out or last
-    if collect == "last":
-        assert last == [expected[-1]]
+        assert out == []
     assert batched.estimate() == expected[-1]
     assert _state_fingerprint(batched) == _state_fingerprint(single)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("collect", ["all", "none"])
+def test_update_many_matches_update_columns(
+    family, batch_size, collect, stream, columns
+):
+    """Both batch adapters run the one kernel loop: same outputs, same state."""
+    xs, ys = columns
+    by_records = _build(family)
+    by_columns = _build(family)
+    for i in range(0, len(xs), batch_size):
+        got = by_records.update_many(stream[i : i + batch_size], collect=collect)
+        want = by_columns.update_columns(
+            xs[i : i + batch_size], ys[i : i + batch_size], collect=collect
+        )
+        assert got == want
+    assert _state_fingerprint(by_records) == _state_fingerprint(by_columns)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
@@ -232,8 +245,56 @@ def test_mismatched_columns_rejected(columns):
 
 def test_bad_collect_mode_did_you_mean():
     estimator = _build("landmark_extrema")
-    with pytest.raises(ConfigurationError, match="collect"):
-        estimator.update_columns([1.0], [1.0], collect="lsat")
+    for collect in ("lsat", "last"):
+        with pytest.raises(ConfigurationError, match="choose one of all, none"):
+            estimator.update_columns([1.0], [1.0], collect=collect)
+
+
+def _last_on_update_many():
+    estimator = _build("landmark_avg")
+    return estimator, lambda: estimator.update_many([Record(1.0)], collect="last")
+
+
+def _last_on_update_columns():
+    estimator = _build("sliding_extrema")
+    return estimator, lambda: estimator.update_columns([1.0], collect="last")
+
+
+def _last_on_update_many_timed():
+    estimator = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
+    return estimator, lambda: estimator.update_many_timed(
+        [(0.0, Record(1.0))], collect="last"
+    )
+
+
+def _last_on_batched_ingest_update_many():
+    oracle = ExactOracle(FAMILY_QUERIES["landmark_avg"], [1.0])
+    return oracle, lambda: oracle.update_many([Record(1.0)], collect="last")
+
+
+def _last_on_batched_ingest_update_columns():
+    oracle = ExactOracle(FAMILY_QUERIES["sliding_avg"], [1.0])
+    return oracle, lambda: oracle.update_columns([1.0], collect="last")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _last_on_update_many,
+        _last_on_update_columns,
+        _last_on_update_many_timed,
+        _last_on_batched_ingest_update_many,
+        _last_on_batched_ingest_update_columns,
+    ],
+    ids=lambda entry: entry.__name__.removeprefix("_last_on_"),
+)
+def test_collect_last_rejected_before_ingesting(entry):
+    """The removed ``"last"`` mode fails on every batch entry, state untouched."""
+    estimator, call = entry()
+    before = estimator.obs_state()
+    with pytest.raises(ConfigurationError, match="choose one of all, none"):
+        call()
+    assert estimator.obs_state() == before
 
 
 # ------------------------------------------------------------- time-sliding
@@ -246,34 +307,21 @@ def _timed_stream(stream):
     return times, stream
 
 
-def test_time_sliding_columns_timed_matches_scalar(stream):
-    times, records = _timed_stream(stream)
-    xs = [r.x for r in records]
-    ys = [r.y for r in records]
-    single = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
-    expected = [single.update(t, r) for t, r in zip(times, records)]
-    batched = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
-    assert batched.update_columns_timed(times, xs, ys) == expected
-    assert batched.obs_state() == single.obs_state()
-    for collect, want in (("last", [expected[-1]]), ("none", [])):
-        lean = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
-        assert lean.update_columns_timed(times, xs, ys, collect=collect) == want
-        assert lean.estimate() == expected[-1]
-        assert lean.obs_state() == single.obs_state()
-
-
-def test_time_sliding_columns_timed_length_mismatch(stream):
-    estimator = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
-    with pytest.raises(ConfigurationError, match="mismatched"):
-        estimator.update_columns_timed([1.0, 2.0], [1.0])
-
-
 def test_time_sliding_update_many_timed_collect_modes(stream):
-    times, records = _timed_stream(stream[:200])
+    times, records = _timed_stream(stream)
     single = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
     expected = [single.update(t, r) for t, r in zip(times, records)]
     timed = list(zip(times, records))
-    for collect, want in (("all", expected), ("last", [expected[-1]]), ("none", [])):
+    for collect, want in (("all", expected), ("none", [])):
         batched = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
         assert batched.update_many_timed(timed, collect=collect) == want
         assert batched.estimate() == expected[-1]
+        assert batched.obs_state() == single.obs_state()
+
+
+def test_time_sliding_rejects_untimed_batches():
+    estimator = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
+    with pytest.raises(ConfigurationError, match="update_many_timed"):
+        estimator.update_many([Record(1.0)])
+    with pytest.raises(ConfigurationError, match="update_many_timed"):
+        estimator.update_columns([1.0])

@@ -13,7 +13,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs.audit import AccuracyAuditor, relative_error
 from repro.obs.sink import RecordingSink
 from repro.obs.trace import Tracer
-from repro.streams.model import Record
+from repro.streams.model import Record, StreamAlgorithm
 
 
 def _records(n, seed=11, low=0.0, high=100.0):
@@ -89,6 +89,32 @@ class TestShadowExactness:
         assert auditor.shadow_answer() == pytest.approx(
             exact_series(records, query)[-1], rel=1e-9
         )
+
+
+class TestStreamAlgorithmContract:
+    """The auditor drops into any replay loop, batch entries included."""
+
+    def test_auditor_is_a_stream_algorithm(self):
+        query = CorrelatedQuery("count", "min", epsilon=50.0)
+        auditor = AccuracyAuditor(
+            build_estimator(query, "exact", universe=[1.0]), query
+        )
+        assert isinstance(auditor, StreamAlgorithm)
+
+    def test_batch_entries_advance_audit_counters(self):
+        query = CorrelatedQuery("count", "min", epsilon=50.0)
+        records = _records(200)
+        auditor = AccuracyAuditor(
+            build_estimator(query, "exact", stream=records), query, every=20
+        )
+        assert auditor.update_many(records[:100], collect="none") == []
+        assert auditor.checks == 5
+        out = auditor.update_columns(
+            [r.x for r in records[100:]], [r.y for r in records[100:]]
+        )
+        assert len(out) == 100
+        assert auditor.checks == 10
+        assert auditor.registry.value("audit.checks") == 10.0
 
 
 class TestBudgetAccounting:

@@ -19,8 +19,9 @@ scalar-median over columnar-median.  Two families are honest
 exceptions, recorded as such: ``sliding_avg``'s reallocation test fires
 nearly every record, so its columnar path is the hoisted scalar loop
 (expected ~1x), and ``time_sliding``'s variable-length expiry drain
-rules out vectorisation, so ``update_columns_timed`` is columnar in
-transport only.
+rules out vectorisation, so its "columnar" row is
+``update_many_timed(..., collect="none")`` — the same scalar step
+without per-record estimates.
 
 The ``landmark_extrema`` report also gates the removal of the old
 hand-inlined ``_update_batch`` override: the shared kernel path must
@@ -90,8 +91,9 @@ FAMILIES = {
         "query": CorrelatedQuery("count", "min", epsilon=99.0),
         "vectorized": False,
         "note": (
-            "variable-length expiry drain; update_columns_timed is columnar "
-            "transport over the scalar step (expected ~1x, recorded honestly)"
+            "variable-length expiry drain; the columnar row is "
+            "update_many_timed(collect='none') over the scalar step "
+            "(expected ~1x, recorded honestly)"
         ),
     },
 }
@@ -124,7 +126,6 @@ def _timed_workloads(query, records):
 
 def _timed_workloads_timed(query, records):
     """The three variants for the time-window family (unit spacing)."""
-    xs, ys = records_to_columns(records)
     times = [float(i) for i in range(1, len(records) + 1)]
     timed = list(zip(times, records))
     duration = float(WINDOW)
@@ -145,7 +146,7 @@ def _timed_workloads_timed(query, records):
 
     def columnar():
         estimator = TimeSlidingEstimator(query, duration, num_buckets=NUM_BUCKETS)
-        return lambda: estimator.update_columns_timed(times, xs, ys, collect="none")
+        return lambda: estimator.update_many_timed(timed, collect="none")
 
     return {"scalar": scalar, "batch_all": batch_all, "columnar": columnar}
 

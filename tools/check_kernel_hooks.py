@@ -12,7 +12,8 @@ This lint keeps that boundary honest with two grep-level rules:
 2. A kernel-subclass module (one that imports ``repro.core.focused``) may
    not define the kernel-owned machinery (``_init_kernel``,
    ``_build_histogram``, ``obs_state``, ``estimate_bounds``,
-   ``update_many``, ``_after_add``): those are the shared spine, and a
+   ``update_many``/``update_columns`` and the ``_ingest_batch`` loop
+   behind them, ``_after_add``): those are the shared spine, and a
    private copy would drift from the parity fixtures.  Non-kernel
    algorithms (baselines, heuristics, the oracle) implement the
    ``ObservableAlgorithm``/batch protocols directly and are exempt.
@@ -54,6 +55,7 @@ KERNEL_OWNED = (
     "estimate_bounds",
     "update_many",
     "update_columns",
+    "_ingest_batch",
     "_after_add",
 )
 
