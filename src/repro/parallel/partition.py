@@ -17,6 +17,11 @@ choice trades coordinator cost against shard balance and locality:
   but count balance depends on how well the first sample predicts the
   distribution.
 
+Each partitioner routes a whole batch at once with ``split``, which takes
+the batch as ``(xs, ys)`` float64 columns and yields each shard's share
+as column slices in arrival order.  ``assign`` is the same routing for
+one record; ``split`` sends every record to the shard ``assign`` would.
+
 Unknown policy names raise :class:`~repro.exceptions.ConfigurationError`
 with a did-you-mean hint, same as every other option in the library.
 """
@@ -25,6 +30,9 @@ from __future__ import annotations
 
 import difflib
 from bisect import bisect_left
+from collections.abc import Iterator
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.streams.model import Record
@@ -38,6 +46,9 @@ __all__ = [
 ]
 
 PARTITION_POLICIES = ("round-robin", "hash", "range")
+
+#: One shard's share of a batch: ``(shard, xs, ys)``.
+Part = tuple[int, np.ndarray, np.ndarray]
 
 
 def make_partitioner(policy: str, shards: int):
@@ -78,6 +89,24 @@ class RoundRobinPartitioner:
         """Chunk-granular striping: one call per chunk, not per record."""
         return self.assign(None)  # type: ignore[arg-type]
 
+    def split(self, xs: np.ndarray, ys: np.ndarray, chunk_size: int) -> Iterator[Part]:
+        """Stripe the batch over the cycle in runs of at most ``chunk_size``.
+
+        The run shrinks for small batches, so one batch still spreads over
+        every shard.
+        """
+        size = min(chunk_size, max(1, -(-len(xs) // self._shards)))
+        for lo in range(0, len(xs), size):
+            yield self.next_chunk_shard(), xs[lo : lo + size], ys[lo : lo + size]
+
+
+def _grouped(shard_ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, shards: int) -> Iterator[Part]:
+    """Each non-empty shard's records; boolean masks keep arrival order."""
+    for shard in range(shards):
+        mask = shard_ids == shard
+        if mask.any():
+            yield shard, xs[mask], ys[mask]
+
 
 class HashPartitioner:
     """Equal x values always land on the same shard."""
@@ -91,6 +120,11 @@ class HashPartitioner:
     def assign(self, record: Record) -> int:
         """``hash(x)`` modulo the shard count."""
         return hash(record.x) % self._shards
+
+    def split(self, xs: np.ndarray, ys: np.ndarray) -> Iterator[Part]:
+        """Group the batch by ``hash(x) % shards``."""
+        hashes = np.fromiter(map(hash, xs.tolist()), dtype=np.int64, count=len(xs))
+        return _grouped(hashes % self._shards, xs, ys, self._shards)
 
 
 class RangePartitioner:
@@ -126,3 +160,10 @@ class RangePartitioner:
         if self._edges is None:
             raise ConfigurationError("RangePartitioner.assign before prime()")
         return bisect_left(self._edges, record.x)
+
+    def split(self, xs: np.ndarray, ys: np.ndarray) -> Iterator[Part]:
+        """Group the batch by value range (``searchsorted`` = ``bisect_left``)."""
+        if self._edges is None:
+            raise ConfigurationError("RangePartitioner.split before prime()")
+        shard_ids = np.searchsorted(self._edges, xs, side="left")
+        return _grouped(shard_ids, xs, ys, self._shards)

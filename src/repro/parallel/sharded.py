@@ -18,6 +18,12 @@ Only landmark-scope focused estimators are shardable: sliding windows are
 defined over a single arrival order, which partitioning destroys, so
 sliding queries (and ``time_window=``) are rejected up front.
 
+The coordinator works on columns: :meth:`ShardedIngestor.ingest` turns
+each batch into one ``(xs, ys)`` float64 pair and hands it to
+:meth:`ShardedIngestor.ingest_columns`, which validates it, partitions it
+with the partitioner's ``split``, and buffers column pieces per shard
+until a chunk is full.
+
 IPC protocol: one input lane per shard behind a pluggable
 :class:`~repro.parallel.transport.ShardTransport` (chunks travel
 columnar; per-shard FIFO makes the query message a natural barrier) and
@@ -42,6 +48,8 @@ import queue as queue_mod
 import traceback
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.core.engine import FOCUSED_METHODS, build_estimator
 from repro.core.focused import FocusedEstimatorBase
 from repro.core.query import CorrelatedQuery
@@ -50,11 +58,37 @@ from repro.obs.sink import NULL_SINK, ObsSink
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.parallel.partition import RangePartitioner, RoundRobinPartitioner, make_partitioner
 from repro.parallel.transport import make_transport
+from repro.streams import columns
 from repro.streams.model import Record
 
 __all__ = ["ShardedIngestor"]
 
 _MAX_SHARDS = 64
+
+
+class _ColumnBuffer:
+    """Column pieces waiting to be sent, in arrival order."""
+
+    def __init__(self) -> None:
+        self._xs: list[np.ndarray] = []
+        self._ys: list[np.ndarray] = []
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def append(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        self._xs.append(xs)
+        self._ys.append(ys)
+        self._n += len(xs)
+
+    def take(self) -> tuple[np.ndarray, np.ndarray]:
+        """Empty the buffer, returning its pieces as one column pair."""
+        xs, ys = self._xs, self._ys
+        self._xs, self._ys, self._n = [], [], 0
+        if len(xs) == 1:
+            return xs[0], ys[0]
+        return np.concatenate(xs), np.concatenate(ys)
 
 
 def _shard_worker(shard_id: int, estimator_payload: bytes, endpoint, out_queue) -> None:
@@ -187,11 +221,12 @@ class ShardedIngestor:
             )
             for _ in range(shards)
         ]
-        self._buffers: list[list[Record]] = [[] for _ in range(shards)]
-        self._prime_buffer: list[Record] = []
+        self._buffers = [_ColumnBuffer() for _ in range(shards)]
+        self._prime_buffer = _ColumnBuffer()
         self._sent = [0] * shards
         self._ingested = 0
         self._last_bound: float | None = None
+        self._failure: str | None = None
         self._processes: list[mp.process.BaseProcess] = []
         self._out = None
         self._started = False
@@ -240,6 +275,14 @@ class ShardedIngestor:
                 return f"{process.name} exitcode={process.exitcode}"
         return None
 
+    def _raise_if_failed(self) -> None:
+        """A worker that reported a failure has exited; refuse further work."""
+        if self._failure is not None:
+            raise StreamError(
+                "a shard worker failed earlier, so this ingestor can neither "
+                f"ingest nor answer; first reported failure: {self._failure}"
+            )
+
     def close(self) -> None:
         """Stop the workers, reclaim the processes, release the transport."""
         if not self._started or self._closed:
@@ -271,72 +314,84 @@ class ShardedIngestor:
     # ------------------------------------------------------------ ingestion
 
     def ingest(self, records: Iterable[Record]) -> None:
-        """Partition a batch of records across the shards."""
+        """Partition a batch of records across the shards.
+
+        The batch becomes one ``(xs, ys)`` column pair (non-``Record``
+        items are built into records first, so ``(x,)`` means ``y=1.0``),
+        then goes through :meth:`ingest_columns`.
+        """
+        records = records if isinstance(records, list) else list(records)
+        self.ingest_columns(*columns.records_to_columns(records))
+
+    def ingest_columns(self, xs: Iterable[float], ys: Iterable[float] | None = None) -> None:
+        """Partition a columnar batch across the shards.
+
+        ``ys=None`` means every tuple has y=1.0, as in ``update_columns``.
+        A batch holding a NaN or infinite value raises
+        :class:`~repro.exceptions.StreamError` naming its first position;
+        nothing from that batch is sent and the ingestor stays usable.
+        The columns are copied, so the caller may reuse its arrays.
+        """
+        self._raise_if_failed()
+        x_col, y_col = columns.as_columns(xs, ys)
+        bad = ~(np.isfinite(x_col) & np.isfinite(y_col))
+        if bad.any():
+            i = int(bad.argmax())
+            raise StreamError(
+                f"non-finite record at position {i} of the batch "
+                f"(x={float(x_col[i])!r}, y={float(y_col[i])!r}); nothing was ingested"
+            )
         if not self._started:
             self.start()
-        records = [r if isinstance(r, Record) else Record(*r) for r in records]
-        if not records:
+        n = len(x_col)
+        if not n:
             return
+        x_col, y_col = x_col.copy(), y_col.copy()
         if self._tracer.enabled:
-            with self._tracer.span("parallel.ingest", records=float(len(records))):
-                self._partition_records(records)
+            with self._tracer.span("parallel.ingest", records=float(n)):
+                self._partition(x_col, y_col)
         else:
-            self._partition_records(records)
-        self._ingested += len(records)
+            self._partition(x_col, y_col)
+        self._ingested += n
         if self._obs.enabled:
-            self._obs.emit(
-                "parallel.ingest", records=float(len(records)), shards=float(self._shards)
-            )
+            self._obs.emit("parallel.ingest", records=float(n), shards=float(self._shards))
 
-    def _partition_records(self, records: list[Record]) -> None:
+    def _partition(self, xs: np.ndarray, ys: np.ndarray) -> None:
         partitioner = self._partitioner
         if isinstance(partitioner, RangePartitioner) and not partitioner.primed:
             # Buffer until one chunk's worth of sample fixes the split points.
-            self._prime_buffer.extend(records)
-            if len(self._prime_buffer) < max(self._chunk_size, 4 * self._shards):
-                return
-            self._prime_range()
+            self._prime_buffer.append(xs, ys)
+            if len(self._prime_buffer) >= max(self._chunk_size, 4 * self._shards):
+                self._prime_range()
             return
         if isinstance(partitioner, RoundRobinPartitioner):
-            # Chunk-granular striping: one assignment per chunk keeps the
-            # coordinator loop out of the per-record hot path entirely.
-            # The stripe granule shrinks for small batches so a single
-            # ingest() call still spreads over every shard.
-            size = min(self._chunk_size, max(1, -(-len(records) // self._shards)))
-            for i in range(0, len(records), size):
-                chunk = records[i : i + size]
-                shard = partitioner.next_chunk_shard()
-                buffer = self._buffers[shard]
-                buffer.extend(chunk)
-                if len(buffer) >= self._chunk_size:
-                    self._flush_shard(shard)
-            return
-        buffers = self._buffers
-        assign = partitioner.assign
-        for record in records:
-            buffers[assign(record)].append(record)
-        for shard, buffer in enumerate(buffers):
+            parts = partitioner.split(xs, ys, self._chunk_size)
+        else:
+            parts = partitioner.split(xs, ys)
+        for shard, x_part, y_part in parts:
+            buffer = self._buffers[shard]
+            buffer.append(x_part, y_part)
             if len(buffer) >= self._chunk_size:
                 self._flush_shard(shard)
 
     def _prime_range(self) -> None:
         assert isinstance(self._partitioner, RangePartitioner)
-        sample = self._prime_buffer
-        self._prime_buffer = []
-        self._partitioner.prime([r.x for r in sample])
-        self._partition_records(sample)
+        xs, ys = self._prime_buffer.take()
+        self._partitioner.prime(xs.tolist())
+        self._partition(xs, ys)
 
     def _flush_shard(self, shard: int) -> None:
         buffer = self._buffers[shard]
-        if not buffer:
+        if not len(buffer):
             return
-        self._transport.send_records(shard, buffer)
-        self._sent[shard] += len(buffer)
-        self._buffers[shard] = []
+        xs, ys = buffer.take()
+        self._transport.send_columns(shard, xs, ys)
+        self._sent[shard] += len(xs)
 
     def flush(self) -> None:
         """Push every partially filled buffer out to its shard."""
-        if isinstance(self._partitioner, RangePartitioner) and self._prime_buffer:
+        self._raise_if_failed()
+        if isinstance(self._partitioner, RangePartitioner) and len(self._prime_buffer):
             self._prime_range()
         for shard in range(self._shards):
             self._flush_shard(shard)
@@ -368,8 +423,8 @@ class ShardedIngestor:
                 if dead:
                     raise StreamError(
                         f"shard workers died before answering: {dead} "
-                        "(a worker that fails to unpickle its estimator "
-                        "exits without reporting; check the stderr above)"
+                        "(a worker that was killed or could not unpickle its "
+                        "estimator exits without reporting; check the stderr above)"
                     ) from None
                 if waited >= self._timeout:
                     raise StreamError(
@@ -378,23 +433,19 @@ class ShardedIngestor:
                 continue
             tag = message[0]
             if tag == "error":
-                shard_id = message[1]
-                done = message[3] if len(message) > 3 else None
-                progress = (
-                    f" after ingesting {done} of {self._sent[shard_id]} sent records"
-                    if done is not None
-                    else ""
-                )
+                _, shard_id, trace, done = message
                 if self._obs.enabled:
                     self._obs.emit(
                         "parallel.worker_error",
                         shard=float(shard_id),
-                        ingested=float(done if done is not None else 0),
+                        ingested=float(done),
                         sent=float(self._sent[shard_id]),
                     )
-                raise StreamError(
-                    f"shard {shard_id} failed{progress}:\n{message[2]}"
+                self._failure = (
+                    f"shard {shard_id} failed after ingesting {done} of "
+                    f"{self._sent[shard_id]} sent records:\n{trace}"
                 )
+                raise StreamError(self._failure)
             if tag == "summary":
                 summaries[message[1]] = message[2]
                 counts[message[1]] = message[3]
@@ -444,9 +495,7 @@ class ShardedIngestor:
         """Per-shard gauges for the instrumentation layer."""
         state = {
             "shards": float(self._shards),
-            "pending": float(
-                sum(len(b) for b in self._buffers) + len(self._prime_buffer)
-            ),
+            "pending": float(sum(map(len, self._buffers)) + len(self._prime_buffer)),
             "ingested": float(self._ingested),
         }
         for shard, sent in enumerate(self._sent):

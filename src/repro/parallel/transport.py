@@ -1,40 +1,38 @@
 """Pluggable coordinator-to-worker chunk transports for sharded ingestion.
 
-PR 5's :class:`~repro.parallel.sharded.ShardedIngestor` moved records to
-its workers through one pickling ``multiprocessing`` queue per shard, and
-PR 6 made the chunks columnar — but every chunk still paid a pickle on
-the coordinator, a pipe write, and an unpickle in the worker.  This
-module extracts that boundary behind the :class:`ShardTransport` shape so
-the wire can be swapped without touching the ingestion logic:
+The :class:`~repro.parallel.sharded.ShardedIngestor` coordinator turns
+each batch into one ``(xs, ys)`` float64 column pair, partitions and
+buffers the columns per shard, and flushes a shard's buffer with
+:meth:`ShardTransport.send_columns`.  The transport splits the columns
+into chunks of at most ``chunk_size`` records and moves each chunk to the
+shard's worker, which feeds it to ``update_columns(..., collect="none")``.
+Two transports implement the :class:`ShardTransport` shape:
 
-* :class:`QueueTransport` — the portable default.  Columnar chunks are
-  pickled **synchronously** in the coordinator (into reusable per-shard
-  staging buffers via the ``out=`` fast path of
-  :func:`~repro.streams.columns.records_to_columns`) and shipped as one
-  immutable ``bytes`` blob per chunk, so the queue's background feeder
-  thread can never observe a half-rewritten staging buffer.
+* :class:`QueueTransport` — the portable default.  Each chunk's column
+  slices are pickled **synchronously** in the coordinator and shipped as
+  one immutable ``bytes`` blob per chunk through a per-shard
+  ``multiprocessing`` queue.
 * :class:`ShmTransport` — a zero-copy double-buffered ring of
   ``multiprocessing.shared_memory`` float64 slabs per shard.  The
-  coordinator writes the xs/ys columns **directly into a free slot's
-  slab**, hands the slot over with a one-int control message, and the
-  worker wraps the slab in a numpy view and feeds it straight into
-  ``update_columns(..., collect="none")`` — the column data crosses the
-  process boundary without being pickled, copied, or even touched by the
-  kernel page cache twice.  When every slot of a shard's ring is in
-  flight the coordinator **stalls** until the worker returns one; the
+  coordinator copies the xs/ys columns **directly into a free slot's
+  slab** (``np.copyto``), hands the slot over with a one-int control
+  message, and the worker wraps the slab in a numpy view and feeds it
+  straight into ``update_columns`` — the column data crosses the process
+  boundary without being pickled.  When every slot of a shard's ring is
+  in flight the coordinator **stalls** until the worker returns one; the
   stall count is the transport's backpressure gauge.
 
 Slot lifecycle (``slots_per_shard`` defaults to 2 — double buffering)::
 
     coordinator                                  worker (shard i)
         free: {0, 1}                                  |
-        write cols -> slab[0]                         |
+        copy cols -> slab[0]                          |
         control.put(("slot", 0, n)) ---------------> wrap numpy view,
-        write cols -> slab[1]                         update_columns(...)
+        copy cols -> slab[1]                          update_columns(...)
         control.put(("slot", 1, n)) ----------+       |
         free: {} -> BLOCK on free queue       |      free.put(0)
         (transport.stalls += 1)  <-- 0 -------+------ |
-        write cols -> slab[0] ...                     |
+        copy cols -> slab[0] ...                      |
 
 Worker-side attachment is **resource-tracker quiet**: workers never
 unlink (the coordinator owns every slab) and never unbalance the shared
@@ -67,13 +65,9 @@ from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
 
-from repro.exceptions import ConfigurationError, StreamError
-from repro.streams.columns import HAVE_NUMPY, records_to_columns
+import numpy as np
 
-try:  # pragma: no cover - exercised indirectly by both test paths
-    import numpy as np
-except ImportError:  # pragma: no cover - the memoryview fallback
-    np = None  # type: ignore[assignment]
+from repro.exceptions import ConfigurationError, StreamError
 
 __all__ = [
     "TRANSPORTS",
@@ -125,7 +119,7 @@ class ShardTransport(Protocol):
 
     The ingestor drives the coordinator side: :meth:`start` under a
     ``multiprocessing`` context, :meth:`worker_endpoint` for each worker's
-    picklable receive handle, :meth:`send_records` per flushed buffer,
+    picklable receive handle, :meth:`send_columns` per flushed buffer,
     :meth:`send_control` for the ``("query",)`` / ``("stop",)`` barrier
     messages (FIFO with the chunks, so they double as fences), and
     :meth:`close` for teardown.  ``liveness`` may be set to a callable
@@ -144,8 +138,8 @@ class ShardTransport(Protocol):
         """A picklable receive handle for one worker process."""
         ...
 
-    def send_records(self, shard: int, records) -> None:
-        """Ship a flushed record buffer to ``shard`` as columnar chunks."""
+    def send_columns(self, shard: int, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Ship a flushed column buffer to ``shard`` in chunks."""
         ...
 
     def send_control(self, shard: int, message: tuple) -> None:
@@ -168,10 +162,8 @@ class ShardTransport(Protocol):
 class QueueTransport:
     """The portable default: one pickling queue per shard.
 
-    Chunks are serialised synchronously in :meth:`send_records` — the
-    staging columns are reused per shard, and only the resulting
-    immutable ``bytes`` blob is handed to the queue's feeder thread, so
-    buffer reuse can never race the feeder's deferred pickle.
+    Chunks are serialised synchronously in :meth:`send_columns`, so the
+    queue's feeder thread only ever sees an immutable ``bytes`` blob.
     """
 
     name = "queue"
@@ -181,7 +173,6 @@ class QueueTransport:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
         self._chunk = chunk_size
         self._queues: list = []
-        self._staging: dict[int, tuple] = {}
         self.liveness: Callable[[int], str | None] | None = None
         self._chunks = 0
         self._bytes = 0
@@ -194,25 +185,12 @@ class QueueTransport:
         """The worker's handle on its shard queue."""
         return QueueEndpoint(self._queues[shard])
 
-    def _stage(self, shard: int):
-        if not HAVE_NUMPY:
-            return None
-        pair = self._staging.get(shard)
-        if pair is None:
-            pair = (
-                np.empty(self._chunk, dtype=np.float64),
-                np.empty(self._chunk, dtype=np.float64),
-            )
-            self._staging[shard] = pair
-        return pair
-
-    def send_records(self, shard: int, records) -> None:
-        """Ship ``records`` as one or more pickled columnar chunks."""
+    def send_columns(self, shard: int, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Ship the columns as one or more pickled chunks."""
         queue = self._queues[shard]
-        for lo in range(0, len(records), self._chunk):
-            part = records[lo : lo + self._chunk]
-            xs, ys = records_to_columns(part, out=self._stage(shard))
-            blob = pickle.dumps((xs, ys), protocol=pickle.HIGHEST_PROTOCOL)
+        for lo in range(0, len(xs), self._chunk):
+            hi = lo + self._chunk
+            blob = pickle.dumps((xs[lo:hi], ys[lo:hi]), protocol=pickle.HIGHEST_PROTOCOL)
             queue.put(("chunk", blob))
             self._chunks += 1
             self._bytes += len(blob)
@@ -222,12 +200,11 @@ class QueueTransport:
         self._queues[shard].put(message)
 
     def close(self) -> None:
-        """Close the queues and drop the staging buffers."""
+        """Close the queues."""
         for queue in self._queues:
             queue.close()
             queue.cancel_join_thread()
         self._queues = []
-        self._staging.clear()
 
     def stats(self) -> dict[str, float]:
         """Chunks shipped and pickled bytes enqueued so far."""
@@ -238,7 +215,7 @@ class QueueEndpoint:
     """Worker-side receive handle for :class:`QueueTransport`.
 
     Every chunk arrives as the pickled ``(xs, ys)`` blob that
-    :meth:`QueueTransport.send_records` ships.
+    :meth:`QueueTransport.send_columns` ships.
     """
 
     def __init__(self, queue) -> None:
@@ -297,14 +274,9 @@ def _attach_slab(name: str) -> shared_memory.SharedMemory:
 
 def _slab_views(shm: shared_memory.SharedMemory, capacity: int):
     """(xs, ys) float64 views over one slab: xs first, ys second."""
-    if HAVE_NUMPY:
-        xs = np.frombuffer(shm.buf, dtype=np.float64, count=capacity, offset=0)
-        ys = np.frombuffer(
-            shm.buf, dtype=np.float64, count=capacity, offset=capacity * _FLOAT_BYTES
-        )
-        return xs, ys
-    doubles = shm.buf.cast("d")
-    return doubles[:capacity], doubles[capacity : 2 * capacity]
+    xs = np.frombuffer(shm.buf, dtype=np.float64, count=capacity, offset=0)
+    ys = np.frombuffer(shm.buf, dtype=np.float64, count=capacity, offset=capacity * _FLOAT_BYTES)
+    return xs, ys
 
 
 def unlink_stale_slabs(prefix: str = SLAB_PREFIX) -> list[str]:
@@ -338,7 +310,7 @@ class ShmTransport:
     hand-offs (plus the query/stop fences), and a free queue returning
     slot indices.  The column data itself never touches a queue.
 
-    Backpressure: :meth:`send_records` blocks when no slot is free,
+    Backpressure: :meth:`send_columns` blocks when no slot is free,
     counting one stall (and the seconds spent) per blocking acquire —
     a persistently stalling coordinator means the workers, not the
     transport, are the bottleneck.  While blocked it polls ``liveness``
@@ -439,20 +411,16 @@ class ShmTransport:
                         "(worker alive but not draining)"
                     ) from None
 
-    def send_records(self, shard: int, records) -> None:
-        """Write ``records`` column-wise into free slots and hand them off."""
+    def send_columns(self, shard: int, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Copy the columns into free slots and hand them off."""
         control = self._control[shard]
-        for lo in range(0, len(records), self._capacity):
-            part = records[lo : lo + self._capacity]
-            n = len(part)
+        for lo in range(0, len(xs), self._capacity):
+            hi = min(lo + self._capacity, len(xs))
+            n = hi - lo
             slot = self._acquire_slot(shard)
-            xs, ys = self._views[shard][slot]
-            if HAVE_NUMPY:
-                records_to_columns(part, out=(xs, ys))
-            else:  # memoryview fallback: element-wise into the cast slab
-                for i, record in enumerate(part):
-                    xs[i] = record.x
-                    ys[i] = record.y
+            slot_xs, slot_ys = self._views[shard][slot]
+            np.copyto(slot_xs[:n], xs[lo:hi])
+            np.copyto(slot_ys[:n], ys[lo:hi])
             control.put(("slot", slot, n))
             self._handoffs += 1
             self._bytes += 2 * n * _FLOAT_BYTES

@@ -14,7 +14,9 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.sink import RecordingSink
 from repro.obs.trace import Tracer
 from repro.parallel import ShardedIngestor
+from repro.streams.columns import records_to_columns
 from repro.streams.model import Record
+from tests.parallel.conftest import poison_shard
 
 
 def _stream(n: int, seed: int = 3) -> list[Record]:
@@ -130,10 +132,22 @@ class TestEndToEnd:
 class TestWorkerFailure:
     def test_worker_exception_propagates_as_stream_error(self):
         with ShardedIngestor(MIN_QUERY, shards=2, chunk_size=8) as ingestor:
-            # NaN x blows up inside the worker's update_many.
-            ingestor.ingest([Record(x=float("nan"), y=1.0)] * 16)
-            with pytest.raises(StreamError, match="shard"):
+            ingestor.ingest(_stream(16))
+            poison_shard(ingestor, 1)
+            with pytest.raises(StreamError, match="shard 1 failed"):
                 ingestor.query()
+
+    def test_later_errors_carry_the_first_failure(self):
+        with ShardedIngestor(MIN_QUERY, shards=2, chunk_size=8) as ingestor:
+            ingestor.ingest(_stream(16))
+            poison_shard(ingestor, 0)
+            with pytest.raises(StreamError, match="shard 0 failed") as first:
+                ingestor.query()
+            for later in (ingestor.query, lambda: ingestor.ingest(_stream(8))):
+                with pytest.raises(StreamError) as err:
+                    later()
+                assert str(first.value) in str(err.value)
+                assert "unpickle" not in str(err.value)
 
     def test_closed_ingestor_refuses_restart(self):
         ingestor = ShardedIngestor(MIN_QUERY, shards=1)
@@ -169,3 +183,31 @@ class TestObservability:
         # Finished spans export as span.<name> events through the sink.
         assert "span.parallel.ingest" in names
         assert "span.parallel.merge" in names
+
+
+class TestNonFiniteBatches:
+    """A NaN or infinite value is refused before anything is sent."""
+
+    @pytest.mark.parametrize("transport", ["queue", "shm"])
+    @pytest.mark.parametrize("partition", ["round-robin", "hash", "range"])
+    def test_rejected_by_the_coordinator(self, partition, transport):
+        keys = ("shard.0.records", "shard.1.records", "pending", "ingested")
+        with ShardedIngestor(
+            MIN_QUERY, shards=2, partition=partition, transport=transport, chunk_size=64
+        ) as ingestor:
+            ingestor.ingest(_stream(300))
+            before = {k: ingestor.obs_state()[k] for k in keys}
+            bad = _stream(50, seed=4)
+            bad[17] = Record(x=float("nan"), y=1.0)
+            with pytest.raises(StreamError, match="position 17"):
+                ingestor.ingest(bad)
+            xs, ys = records_to_columns(_stream(10, seed=6))
+            ys[3] = -math.inf
+            with pytest.raises(StreamError, match="position 3"):
+                ingestor.ingest_columns(xs, ys)
+            assert {k: ingestor.obs_state()[k] for k in keys} == before
+            # The workers never saw the bad batches: the ingestor still answers.
+            assert math.isfinite(ingestor.query())
+            assert ingestor.obs_state()["shard.0.records"] + ingestor.obs_state()[
+                "shard.1.records"
+            ] == 300.0

@@ -34,7 +34,9 @@ from repro.parallel.transport import (
     ShmTransport,
     make_transport,
 )
+from repro.streams.columns import records_to_columns
 from repro.streams.model import Record
+from tests.parallel.conftest import poison_shard
 
 MIN_QUERY = CorrelatedQuery(dependent="count", independent="min", epsilon=0.5)
 AVG_QUERY = CorrelatedQuery(dependent="count", independent="avg")
@@ -140,7 +142,7 @@ class TestSlotRing:
             # 3 chunks > 2 slots: only draining between sends keeps this
             # from stalling, which exercises release() -> reuse.
             for lo in range(0, 24, 8):
-                transport.send_records(0, _stream(24)[lo : lo + 8])
+                transport.send_columns(0, *records_to_columns(_stream(24)[lo : lo + 8]))
                 kind, (xs, ys) = endpoint.recv()
                 assert kind == "columns"
                 seen.extend(float(x) for x in xs)
@@ -161,7 +163,7 @@ class TestSlotRing:
         endpoint = transport.worker_endpoint(0)
         endpoint.attach()
         try:
-            transport.send_records(0, _stream(25))
+            transport.send_columns(0, *records_to_columns(_stream(25)))
             lengths = []
             for _ in range(3):
                 _, (xs, _ys) = endpoint.recv()
@@ -177,9 +179,9 @@ class TestSlotRing:
         transport = ShmTransport(chunk_size=4, slots_per_shard=1, stall_timeout=0.3)
         transport.start(mp.get_context(), shards=1)
         try:
-            transport.send_records(0, _stream(4))  # takes the only slot
+            transport.send_columns(0, *records_to_columns(_stream(4)))  # takes the only slot
             with pytest.raises(StreamError, match="transport slot"):
-                transport.send_records(0, _stream(4))  # nobody drains
+                transport.send_columns(0, *records_to_columns(_stream(4)))  # nobody drains
             stats = transport.stats()
             assert stats["stalls"] >= 1.0
             assert stats["stall_seconds"] >= 0.3
@@ -235,15 +237,14 @@ class TestFaultPaths:
         with ShardedIngestor(MIN_QUERY, shards=1, chunk_size=100) as ingestor:
             ingestor.ingest(_stream(300))
             ingestor.flush()
-            # NaN x blows up inside the worker's update_columns.
-            ingestor.ingest([Record(x=float("nan"), y=1.0)] * 100)
+            poison_shard(ingestor, 0)
             with pytest.raises(StreamError, match=r"after ingesting 300 of"):
                 ingestor.query()
 
     def test_worker_error_emits_obs_event(self):
         sink = RecordingSink()
         with ShardedIngestor(MIN_QUERY, shards=1, chunk_size=64, sink=sink) as ingestor:
-            ingestor.ingest([Record(x=float("nan"), y=1.0)] * 64)
+            poison_shard(ingestor, 0)
             with pytest.raises(StreamError):
                 ingestor.query()
         events = sink.events_named("parallel.worker_error")
