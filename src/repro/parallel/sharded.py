@@ -24,20 +24,16 @@ each batch into one ``(xs, ys)`` float64 pair and hands it to
 with the partitioner's ``split``, and buffers column pieces per shard
 until a chunk is full.
 
-IPC protocol: one input lane per shard behind a pluggable
-:class:`~repro.parallel.transport.ShardTransport` (chunks travel
-columnar; per-shard FIFO makes the query message a natural barrier) and
-one shared output queue.  ``transport="queue"`` (the portable default)
-pickles each chunk's column pair; ``transport="shm"`` writes the columns
-into a zero-copy shared-memory slot ring instead — see
-:mod:`repro.parallel.transport` for the wire formats, slot lifecycle and
-backpressure semantics.  Each worker feeds chunks straight into its
-estimator's ``update_columns`` kernel with ``collect="none"`` — no
-per-record estimates, no per-record objects on the wire.  Workers are
-forked or spawned by the coordinator that feeds them, so both ends always
-speak the same wire format.  Workers receive their estimator as an
-explicit pickle payload, so construction is identical — and tested —
-under both ``fork`` and ``spawn`` start methods.
+IPC protocol: one input queue per shard and one shared output queue.
+:meth:`ShardedIngestor._send_columns` pickles each ``chunk_size`` slice
+of a flushed column pair into one ``bytes`` blob and puts it on the
+shard's queue; the ``("query",)`` and ``("stop",)`` messages share that
+queue, so per-shard FIFO makes them fences behind every chunk sent
+before them.  Each worker feeds chunks straight into its estimator's
+``update_columns`` kernel with ``collect="none"`` — no per-record
+estimates, no per-record objects on the wire.  Workers receive their
+estimator as an explicit pickle payload, so construction is identical —
+and tested — under both ``fork`` and ``spawn`` start methods.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ from repro.exceptions import ConfigurationError, StreamError
 from repro.obs.sink import NULL_SINK, ObsSink
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.parallel.partition import RangePartitioner, RoundRobinPartitioner, make_partitioner
-from repro.parallel.transport import make_transport
 from repro.streams import columns
 from repro.streams.model import Record
 
@@ -91,20 +86,18 @@ class _ColumnBuffer:
         return np.concatenate(xs), np.concatenate(ys)
 
 
-def _shard_worker(shard_id: int, estimator_payload: bytes, endpoint, out_queue) -> None:
+def _shard_worker(shard_id: int, estimator_payload: bytes, in_queue, out_queue) -> None:
     """One worker process: unpickle the estimator, drain chunks, answer queries."""
     ingested = 0
     try:
         estimator = pickle.loads(estimator_payload)
-        endpoint.attach()
         while True:
-            kind, chunk = endpoint.recv()
-            if kind == "columns":
-                xs, ys = chunk
+            message = in_queue.get()
+            kind = message[0]
+            if kind == "chunk":
+                xs, ys = pickle.loads(message[1])
                 estimator.update_columns(xs, ys, collect="none")
                 ingested += len(xs)
-                del xs, ys, chunk  # drop slab views before the slot is reused
-                endpoint.release()
             elif kind == "query":
                 out_queue.put(("summary", shard_id, estimator, ingested))
             elif kind == "stop":
@@ -114,11 +107,6 @@ def _shard_worker(shard_id: int, estimator_payload: bytes, endpoint, out_queue) 
         # Report how far this shard got so the coordinator can log the
         # partial progress alongside the traceback.
         out_queue.put(("error", shard_id, traceback.format_exc(), ingested))
-    finally:
-        try:
-            endpoint.detach()
-        except Exception:  # pragma: no cover - teardown must never mask
-            pass
 
 
 class ShardedIngestor:
@@ -137,13 +125,8 @@ class ShardedIngestor:
     partition:
         ``'round-robin'`` (default), ``'hash'``, or ``'range'`` — see
         :mod:`repro.parallel.partition` for the trade-offs.
-    transport:
-        ``'queue'`` (default, portable pickle queues) or ``'shm'``
-        (zero-copy shared-memory slot ring) — see
-        :mod:`repro.parallel.transport` for the trade-offs.
     chunk_size:
-        Records per IPC message; batching amortises per-message overhead
-        (and sizes the shm transport's slabs).
+        Records per IPC message; batching amortises per-message overhead.
     start_method:
         ``multiprocessing`` start method (``'fork'``/``'spawn'``/...);
         ``None`` uses the platform default.
@@ -163,7 +146,6 @@ class ShardedIngestor:
         num_buckets: int = 10,
         shards: int = 2,
         partition: str = "round-robin",
-        transport: str = "queue",
         chunk_size: int = 4096,
         start_method: str | None = None,
         result_timeout: float = 120.0,
@@ -204,9 +186,6 @@ class ShardedIngestor:
         self._shards = shards
         self._chunk_size = chunk_size
         self._partitioner = make_partitioner(partition, shards)
-        self._transport = make_transport(
-            transport, chunk_size=chunk_size, stall_timeout=result_timeout
-        )
         self._start_method = start_method
         self._timeout = result_timeout
         self._obs = sink if sink is not None else NULL_SINK
@@ -227,7 +206,10 @@ class ShardedIngestor:
         self._ingested = 0
         self._last_bound: float | None = None
         self._failure: str | None = None
+        self._chunks = 0
+        self._bytes = 0
         self._processes: list[mp.process.BaseProcess] = []
+        self._queues: list = []
         self._out = None
         self._started = False
         self._closed = False
@@ -242,41 +224,21 @@ class ShardedIngestor:
             raise StreamError("ShardedIngestor was closed; build a new one")
         ctx = mp.get_context(self._start_method)
         self._out = ctx.Queue()
-        self._transport.start(ctx, self._shards)
-        self._transport.liveness = self._dead_worker
+        self._queues = [ctx.Queue() for _ in range(self._shards)]
         self._processes = []
-        try:
-            for shard_id in range(self._shards):
-                process = ctx.Process(
-                    target=_shard_worker,
-                    args=(
-                        shard_id,
-                        self._payloads[shard_id],
-                        self._transport.worker_endpoint(shard_id),
-                        self._out,
-                    ),
-                    daemon=True,
-                    name=f"repro-shard-{shard_id}",
-                )
-                process.start()
-                self._processes.append(process)
-        except BaseException:
-            # A worker that failed to launch must not leak the slabs the
-            # transport already mapped.
-            self._transport.close()
-            raise
+        for shard_id in range(self._shards):
+            process = ctx.Process(
+                target=_shard_worker,
+                args=(shard_id, self._payloads[shard_id], self._queues[shard_id], self._out),
+                daemon=True,
+                name=f"repro-shard-{shard_id}",
+            )
+            process.start()
+            self._processes.append(process)
         self._started = True
 
-    def _dead_worker(self, shard: int) -> str | None:
-        """Liveness probe the transport polls while blocked on a slot."""
-        if shard < len(self._processes):
-            process = self._processes[shard]
-            if not process.is_alive():
-                return f"{process.name} exitcode={process.exitcode}"
-        return None
-
     def _raise_if_failed(self) -> None:
-        """A worker that reported a failure has exited; refuse further work."""
+        """After a worker failed, died or stopped answering, refuse further work."""
         if self._failure is not None:
             raise StreamError(
                 "a shard worker failed earlier, so this ingestor can neither "
@@ -284,13 +246,13 @@ class ShardedIngestor:
             )
 
     def close(self) -> None:
-        """Stop the workers, reclaim the processes, release the transport."""
+        """Stop the workers, reclaim the processes, close the queues."""
         if not self._started or self._closed:
             self._closed = True
             return
         for shard in range(self._shards):
             try:
-                self._transport.send_control(shard, ("stop",))
+                self._queues[shard].put(("stop",))
             except (OSError, ValueError):
                 pass
         for process in self._processes:
@@ -298,9 +260,9 @@ class ShardedIngestor:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
-        self._transport.close()
-        self._out.close()
-        self._out.cancel_join_thread()
+        for queue in (*self._queues, self._out):
+            queue.close()
+            queue.cancel_join_thread()
         self._closed = True
         self._started = False
 
@@ -385,8 +347,23 @@ class ShardedIngestor:
         if not len(buffer):
             return
         xs, ys = buffer.take()
-        self._transport.send_columns(shard, xs, ys)
+        self._send_columns(shard, xs, ys)
         self._sent[shard] += len(xs)
+
+    def _send_columns(self, shard: int, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Ship the columns to ``shard`` as pickled chunks of ``chunk_size``.
+
+        Each chunk is pickled here, synchronously: ``Queue.put`` pickles in
+        a feeder thread later, and a ``bytes`` blob cannot be seen
+        half-changed.
+        """
+        queue = self._queues[shard]
+        for lo in range(0, len(xs), self._chunk_size):
+            hi = lo + self._chunk_size
+            blob = pickle.dumps((xs[lo:hi], ys[lo:hi]), protocol=pickle.HIGHEST_PROTOCOL)
+            queue.put(("chunk", blob))
+            self._chunks += 1
+            self._bytes += len(blob)
 
     def flush(self) -> None:
         """Push every partially filled buffer out to its shard."""
@@ -409,7 +386,7 @@ class ShardedIngestor:
             self.start()
         self.flush()
         for shard in range(self._shards):
-            self._transport.send_control(shard, ("query",))
+            self._queues[shard].put(("query",))
         summaries: dict[int, FocusedEstimatorBase] = {}
         counts: dict[int, int] = {}
         waited = 0.0
@@ -421,15 +398,19 @@ class ShardedIngestor:
                 dead = [p.name for p in self._processes if not p.is_alive()]
                 waited += poll
                 if dead:
-                    raise StreamError(
+                    self._failure = (
                         f"shard workers died before answering: {dead} "
                         "(a worker that was killed or could not unpickle its "
                         "estimator exits without reporting; check the stderr above)"
-                    ) from None
+                    )
+                    raise StreamError(self._failure) from None
                 if waited >= self._timeout:
-                    raise StreamError(
+                    # A late summary from this round would otherwise be
+                    # merged as current by the next query.
+                    self._failure = (
                         f"timed out waiting for shard summaries after {self._timeout}s"
-                    ) from None
+                    )
+                    raise StreamError(self._failure) from None
                 continue
             tag = message[0]
             if tag == "error":
@@ -467,8 +448,8 @@ class ShardedIngestor:
             )
             self._obs.emit(
                 "parallel.transport",
-                transport=self._transport.name,
-                **self._transport.stats(),
+                chunks=float(self._chunks),
+                bytes=float(self._bytes),
             )
         return merged
 
@@ -500,6 +481,6 @@ class ShardedIngestor:
         }
         for shard, sent in enumerate(self._sent):
             state[f"shard.{shard}.records"] = float(sent)
-        for key, value in self._transport.stats().items():
-            state[f"transport.{key}"] = float(value)
+        state["transport.chunks"] = float(self._chunks)
+        state["transport.bytes"] = float(self._bytes)
         return state

@@ -9,6 +9,6 @@ def poison_shard(ingestor, shard: int) -> None:
     """Make one worker fail on its next chunk.
 
     The coordinator refuses non-finite batches, so the NaN chunk goes
-    straight through the transport, where the worker's estimator raises.
+    straight onto the shard's queue, where the worker's estimator raises.
     """
-    ingestor._transport.send_columns(shard, np.array([np.nan]), np.array([1.0]))
+    ingestor._send_columns(shard, np.array([np.nan]), np.array([1.0]))

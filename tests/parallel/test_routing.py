@@ -5,8 +5,7 @@ The coordinator partitions whole column batches (striped slices,
 ``hash`` over ``xs.tolist()``, ``np.searchsorted`` for ranges).  These
 tests replay the same batches through an inline per-record reference and
 compare each shard's record sequence, then check that ``ingest`` and
-``ingest_columns`` give bit-identical merged estimators on both
-transports.
+``ingest_columns`` give bit-identical merged estimators.
 """
 
 from __future__ import annotations
@@ -43,11 +42,8 @@ def _batches(records: list[Record], size: int) -> list[list[Record]]:
     return [records[lo : lo + size] for lo in range(0, len(records), size)]
 
 
-class _RecordingTransport:
+class _Recorder:
     """Keeps every shipped column pair instead of moving it anywhere."""
-
-    name = "recording"
-    liveness = None
 
     def __init__(self, shards: int) -> None:
         self.sent: list[list[tuple[float, float]]] = [[] for _ in range(shards)]
@@ -55,17 +51,14 @@ class _RecordingTransport:
     def send_columns(self, shard: int, xs, ys) -> None:
         self.sent[shard].extend(zip(xs.tolist(), ys.tolist()))
 
-    def stats(self) -> dict[str, float]:
-        return {}
-
 
 def _routed(partition, shards, chunk_size, batches, columnar=False):
     """Each shard's (x, y) sequence as the coordinator routes ``batches``."""
     ingestor = ShardedIngestor(
         MIN_QUERY, shards=shards, partition=partition, chunk_size=chunk_size
     )
-    recorder = _RecordingTransport(shards)
-    ingestor._transport = recorder
+    recorder = _Recorder(shards)
+    ingestor._send_columns = recorder.send_columns
     ingestor._started = True  # route only: no worker processes
     for batch in batches:
         if columnar:
@@ -152,8 +145,8 @@ def test_ingest_columns_does_not_alias_the_callers_arrays():
     xs = np.arange(10, dtype=np.float64)
     ys = np.ones(10)
     ingestor = ShardedIngestor(MIN_QUERY, shards=2, chunk_size=64)
-    recorder = _RecordingTransport(2)
-    ingestor._transport = recorder
+    recorder = _Recorder(2)
+    ingestor._send_columns = recorder.send_columns
     ingestor._started = True
     ingestor.ingest_columns(xs, ys)  # below chunk_size: stays pending
     xs[:] = -1.0
@@ -164,24 +157,23 @@ def test_ingest_columns_does_not_alias_the_callers_arrays():
 
 
 @pytest.mark.parametrize("partition", POLICIES)
-def test_merged_estimators_bit_identical_across_entries_and_transports(partition):
+def test_merged_estimators_bit_identical_across_entries(partition):
     records = _stream(2500, seed=23)
     xs, ys = records_to_columns(records)
     blobs = {}
-    for transport in ("queue", "shm"):
-        for entry in ("ingest", "ingest_columns"):
-            with ShardedIngestor(
-                AVG_QUERY, shards=3, partition=partition, transport=transport, chunk_size=128
-            ) as ingestor:
-                for lo in range(0, len(records), 900):
-                    if entry == "ingest":
-                        ingestor.ingest(records[lo : lo + 900])
-                    else:
-                        ingestor.ingest_columns(xs[lo : lo + 900], ys[lo : lo + 900])
-                merged = ingestor.merged_estimator()
-                blobs[transport, entry] = (
-                    pickle.dumps(merged),
-                    merged.estimate(),
-                    ingestor.merge_error_bound(),
-                )
+    for entry in ("ingest", "ingest_columns"):
+        with ShardedIngestor(
+            AVG_QUERY, shards=3, partition=partition, chunk_size=128
+        ) as ingestor:
+            for lo in range(0, len(records), 900):
+                if entry == "ingest":
+                    ingestor.ingest(records[lo : lo + 900])
+                else:
+                    ingestor.ingest_columns(xs[lo : lo + 900], ys[lo : lo + 900])
+            merged = ingestor.merged_estimator()
+            blobs[entry] = (
+                pickle.dumps(merged),
+                merged.estimate(),
+                ingestor.merge_error_bound(),
+            )
     assert len(set(blobs.values())) == 1, sorted(blobs)
