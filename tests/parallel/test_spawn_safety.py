@@ -12,8 +12,13 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import os
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -115,3 +120,39 @@ class TestStartMethods:
         # not change the answer at all.
         assert merged.extremum == single.extremum
         assert merged.estimate() == pytest.approx(single.estimate(), abs=1.0)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_normal_run_is_warning_clean_under_W_error(self, start_method):
+        """A full run leaks no queue, pipe or process warnings."""
+        if not _available(start_method):
+            pytest.skip(f"{start_method} unavailable on this platform")
+        script = textwrap.dedent(
+            f"""
+            import random
+            from repro.core.query import CorrelatedQuery
+            from repro.parallel import ShardedIngestor
+            from repro.streams.model import Record
+            rng = random.Random(7)
+            records = [Record(x=rng.uniform(1.0, 9.0), y=1.0) for _ in range(800)]
+            query = CorrelatedQuery(dependent="count", independent="min", epsilon=0.5)
+            with ShardedIngestor(
+                query, shards=2, chunk_size=64, start_method={start_method!r}
+            ) as ingestor:
+                ingestor.ingest(records)
+                ingestor.query()
+            print("OK")
+            """
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        existing = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{existing}" if existing else src)
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "OK" in result.stdout
+        assert "Warning" not in result.stderr

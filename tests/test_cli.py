@@ -383,6 +383,13 @@ class TestShardFlags:
         assert code == 2
         assert "not shardable" in capsys.readouterr().err
 
+    def test_transport_flag_is_gone(self, capsys):
+        # One shard channel remains, so there is nothing left to choose.
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.ESTIMATE, "--shards", "2", "--transport", "queue"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --transport" in capsys.readouterr().err
+
 
 class TestKeyed:
     KEYED = [
