@@ -20,15 +20,17 @@ with provable bounds.
 
 from __future__ import annotations
 
+import heapq
 import math
 import pickle
 from collections.abc import Hashable, Iterable, Iterator
+from operator import itemgetter
 
 from repro.core.engine import FOCUSED_METHODS, build_estimator
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
 from repro.obs.sink import NULL_SINK, ObsSink
-from repro.streams.model import Record, StreamAlgorithm
+from repro.streams.model import Record, StreamAlgorithm, ensure_finite
 
 #: Methods that need no offline knowledge and can be created lazily per key.
 ONLINE_METHODS = FOCUSED_METHODS + (
@@ -40,6 +42,8 @@ ONLINE_METHODS = FOCUSED_METHODS + (
 
 #: Estimators sampled (pickled) per ``obs_state`` call to estimate memory.
 _MEMORY_SAMPLE = 8
+#: Sort key of a ``(key, estimate)`` pair.
+_ESTIMATE = itemgetter(1)
 
 
 def check_online_method(method: str, kwargs: dict[str, object]) -> None:
@@ -62,16 +66,20 @@ def rank_estimates(
     ``sorted(..., reverse=True)`` over raw floats lets a single NaN land
     anywhere (every comparison against NaN is False, so its final position
     depends on the sort's merge order).  Here NaN estimates always sort
-    *last*, in first-seen order; finite ties also keep first-seen order
-    (Python's sort is stable, including under ``reverse=True``).
+    *last*, in first-seen order; finite ties also keep first-seen order.
+    The finite head is heap-selected (:func:`heapq.nlargest`,
+    O(len · log n), documented equal to ``sorted(..., reverse=True)[:n]``),
+    so a bank ranks its top keys without sorting every key.  ``items`` may
+    be a generator and is consumed once.
     """
     finite: list[tuple[Hashable, float]] = []
     nans: list[tuple[Hashable, float]] = []
     for pair in items:
         (nans if math.isnan(pair[1]) else finite).append(pair)
-    finite.sort(key=lambda pair: pair[1], reverse=True)
-    ranked = finite + nans
-    return ranked if n is None else ranked[:n]
+    if n is None:
+        n = len(finite) + len(nans)
+    ranked = heapq.nlargest(n, finite, key=_ESTIMATE)
+    return ranked + nans[: n - len(ranked)]
 
 
 def escape_key_name(key: Hashable) -> str:
@@ -187,7 +195,12 @@ class KeyedEstimatorBank:
         return estimator
 
     def update(self, key: Hashable, record: Record) -> float:
-        """Route ``record`` to ``key``'s estimator; return its new estimate."""
+        """Route ``record`` to ``key``'s estimator; return its new estimate.
+
+        A NaN or infinite record raises :class:`StreamError` before any
+        key is created or counted.
+        """
+        ensure_finite(record)
         estimator = self._estimator_for(key)
         self._updates[key] += 1
         return estimator.update(record)
@@ -210,10 +223,15 @@ class KeyedEstimatorBank:
         correlated aggregate and inspect the head.  NaN estimates (an
         extrema estimator whose focus emptied, say) rank last, in
         first-seen order; fewer than ``n`` live keys returns them all.
+        The head is heap-selected by :func:`rank_estimates`.
         """
         if n <= 0:
             raise ConfigurationError(f"n must be positive, got {n}")
-        return rank_estimates(self.estimates().items(), n)
+        points = (
+            (key, est.estimate())  # type: ignore[attr-defined]
+            for key, est in self._estimators.items()
+        )
+        return rank_estimates(points, n)
 
     def evict(self, key: Hashable) -> bool:
         """Drop ``key``'s estimator; returns False if the key was unknown.
@@ -273,9 +291,7 @@ class KeyedEstimatorBank:
         gauges["memory_bytes"] = self._memory_bytes()
         if self._obs_key_detail:
             names = key_gauge_names(self._estimators)
-            for key, estimate in rank_estimates(
-                self.estimates().items(), self._obs_key_detail
-            ):
+            for key, estimate in self.top(self._obs_key_detail):
                 prefix = f"key.{names[key]}"
                 gauges[f"{prefix}.estimate"] = estimate
                 gauges[f"{prefix}.updates"] = float(self._updates.get(key, 0))

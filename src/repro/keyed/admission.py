@@ -145,6 +145,10 @@ class SpaceSavingAdmission:
         """Monitored keys, in admission order."""
         return iter(self._slots)
 
+    def slots(self) -> Iterator[tuple[Hashable, Slot]]:
+        """Monitored ``(key, slot)`` pairs, in admission order."""
+        return iter(self._slots.items())
+
     def slot(self, key: Hashable) -> Slot | None:
         """The monitored slot for ``key`` (``None`` when unmonitored)."""
         return self._slots.get(key)

@@ -39,11 +39,12 @@ import pickle
 from collections import deque
 from collections.abc import Hashable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.core.engine import build_estimator
 from repro.core.keyed import check_online_method, key_gauge_names, rank_estimates
 from repro.core.query import CorrelatedQuery
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, StreamError
 from repro.keyed.admission import SpaceSavingAdmission, Slot
 from repro.obs.sink import NULL_SINK, ObsSink
 from repro.streams.model import Record, StreamAlgorithm
@@ -236,9 +237,15 @@ class GatedKeyedBank:
         )
 
     def update(self, key: Hashable, record: Record) -> float:
-        """Route one record; returns the key's new (point) estimate."""
+        """Route one record; returns the key's new (point) estimate.
+
+        A NaN or infinite record raises :class:`StreamError` before any
+        counter, the y range or the sketch moves.
+        """
         if not isinstance(record, Record):
             record = Record(*record)
+        if not (math.isfinite(record.x) and math.isfinite(record.y)):
+            raise StreamError(f"non-finite record {record!r} for key {key!r}")
         self._seq += 1
         if record.y < self._y_min:
             self._y_min = record.y
@@ -399,34 +406,33 @@ class GatedKeyedBank:
     def _tail_point(self, slot: Slot | None) -> float:
         """Conservative point estimate for a sketch/tail key.
 
-        Space-Saving convention: answer the count upper bound (the slot
-        count over-estimates, never under-estimates).
+        Space-Saving convention: answer the upper end of the key's
+        interval (the slot's raw over-count), computed straight from the
+        counters so :meth:`update` and :meth:`top` allocate nothing per
+        key.  ``slot is None`` gives the forgotten-ceiling form.
         """
-        return self._tail_estimate(slot).value
-
-    def _tail_estimate(self, slot: Slot | None) -> KeyEstimate:
-        admission = self._admission
-        if slot is not None:
-            low_hits, high_hits = slot.observed, slot.count
-            mass_high = slot.mass + slot.mass_error
-            missed = slot.error
-            kind = "sketch"
-        else:
-            low_hits, high_hits = 0, admission.ceiling
-            mass_high = admission.ceiling * admission.max_abs_y
-            missed = admission.ceiling
-            kind = "tail"
         dependent = self._query.dependent
         if dependent == "count":
-            low, high = 0.0, float(high_hits)
+            return float(slot.count if slot is not None else self._admission.ceiling)
+        if dependent == "sum":
+            if slot is not None:
+                return slot.mass + slot.mass_error
+            return self._admission.ceiling * self._admission.max_abs_y
+        # avg of a qualifying subset lies within the global y range
+        return self._y_range()[1]
+
+    def _tail_estimate(self, slot: Slot | None) -> KeyEstimate:
+        high = self._tail_point(slot)
+        dependent = self._query.dependent
+        if dependent == "count":
+            low = 0.0
         elif dependent == "sum":
-            y_low, _ = self._y_range()
-            low = -mass_high if y_low < 0.0 else 0.0
-            high = mass_high
-        else:  # avg of a qualifying subset lies within the global y range
-            y_low, y_high = self._y_range()
-            low, high = y_low, y_high
-        return KeyEstimate(value=high, low=low, high=high, kind=kind, missed=missed)
+            low = -high if self._y_range()[0] < 0.0 else 0.0
+        else:
+            low = self._y_range()[0]
+        if slot is not None:
+            return KeyEstimate(high, low, high, "sketch", missed=slot.error)
+        return KeyEstimate(high, low, high, "tail", missed=self._admission.ceiling)
 
     def estimate(self, key: Hashable) -> float:
         """Point estimate for *any* key (promoted, monitored, or tail)."""
@@ -464,27 +470,34 @@ class GatedKeyedBank:
             return KeyEstimate(value, low, high, "promoted", missed=entry.missed)
         return self._tail_estimate(self._admission.slot(key))
 
+    def _points(self) -> Iterator[tuple[Hashable, float]]:
+        """``(key, point estimate)`` for every tracked key, promoted first."""
+        tail_point = self._tail_point
+        return chain(
+            (
+                (key, entry.estimator.estimate())  # type: ignore[attr-defined]
+                for key, entry in self._promoted.items()
+            ),
+            ((key, tail_point(slot)) for key, slot in self._admission.slots()),
+        )
+
     def estimates(self) -> dict[Hashable, float]:
         """Point estimates for every individually tracked key."""
-        values = {
-            key: entry.estimator.estimate()  # type: ignore[attr-defined]
-            for key, entry in self._promoted.items()
-        }
-        for key in self._admission.keys():
-            values[key] = self._tail_point(self._admission.slot(key))
-        return values
+        return dict(self._points())
 
     def top(self, n: int = 10) -> list[tuple[Hashable, float]]:
         """The ``n`` tracked keys with the largest (point) estimates.
 
         Promoted keys rank by their estimator's answer, tail keys by the
         sketch's conservative upper bound — so a heavy key that has not
-        crossed the promotion threshold yet still surfaces.  NaN-safe and
+        crossed the promotion threshold yet still surfaces.  The head is
+        heap-selected straight from the counters: O(tracked · log n),
+        with no per-key dict or :class:`KeyEstimate`.  NaN-safe and
         deterministic like :meth:`KeyedEstimatorBank.top`.
         """
         if n <= 0:
             raise ConfigurationError(f"n must be positive, got {n}")
-        return rank_estimates(self.estimates().items(), n)
+        return rank_estimates(self._points(), n)
 
     # ------------------------------------------------------ observability
 
@@ -507,9 +520,7 @@ class GatedKeyedBank:
             gauges[f"sketch.{name}"] = value
         if self._obs_key_detail:
             names = key_gauge_names(self.keys())
-            for key, value in rank_estimates(
-                self.estimates().items(), self._obs_key_detail
-            ):
+            for key, value in self.top(self._obs_key_detail):
                 answer = self.estimate_interval(key)
                 prefix = f"key.{names[key]}"
                 gauges[f"{prefix}.estimate"] = value

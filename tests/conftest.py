@@ -57,6 +57,26 @@ def make_records(xs, ys=None) -> list[Record]:
     return [Record(float(x), float(y)) for x, y in zip(xs, ys)]
 
 
+def rank_estimates_sorted(items, n=None):
+    """Sort-based reference ranking: finite pairs by estimate descending
+    (stable, so ties keep first-seen order), then NaN pairs in first-seen
+    order, truncated to ``n``."""
+    finite, nans = [], []
+    for pair in items:
+        (nans if math.isnan(pair[1]) else finite).append(pair)
+    finite.sort(key=lambda pair: pair[1], reverse=True)
+    ranked = finite + nans
+    return ranked if n is None else ranked[:n]
+
+
+def same_ranking(got, want) -> bool:
+    """Equal ``(key, value)`` lists, with NaN values equal to each other."""
+    return len(got) == len(want) and all(
+        gk == wk and (gv == wv or (math.isnan(gv) and math.isnan(wv)))
+        for (gk, gv), (wk, wv) in zip(got, want)
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A seeded generator for per-test randomness."""

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.exact import exact_series
 from repro.core.keyed import (
@@ -18,7 +21,7 @@ from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
 from repro.obs.sink import RecordingSink
 from repro.streams.model import Record
-from tests.conftest import make_records
+from tests.conftest import make_records, rank_estimates_sorted, same_ranking
 
 QUERY = CorrelatedQuery("count", "min", epsilon=9.0)
 
@@ -97,6 +100,31 @@ class TestRouting:
         assert all(v >= 0.0 for v in snapshot.values())
 
 
+class TestNonFiniteRecords:
+    """A NaN/inf record is refused before the bank creates or counts a key."""
+
+    @pytest.mark.parametrize(
+        "record", [Record(1.0, math.inf), Record(math.nan, 1.0)], ids=["y-inf", "x-nan"]
+    )
+    def test_new_key_is_not_created(self, record):
+        bank = KeyedEstimatorBank(QUERY)
+        bank.update("a", Record(1.0))
+        with pytest.raises(StreamError, match="non-finite"):
+            bank.update("b", record)
+        assert "b" not in bank and len(bank) == 1
+        assert bank.obs_state()["updates"] == 1.0
+
+    def test_existing_key_counters_unchanged(self):
+        bank = KeyedEstimatorBank(QUERY)
+        for x in (1.0, 2.0, 3.0):
+            bank.update("a", Record(x))
+        before = pickle.dumps(bank)
+        with pytest.raises(StreamError, match="non-finite"):
+            bank.update("a", Record(2.0, math.nan))
+        assert pickle.dumps(bank) == before
+        assert bank.obs_state()["updates"] == 3.0
+
+
 class TestCapacityManagement:
     def test_max_keys_enforced(self):
         bank = KeyedEstimatorBank(QUERY, max_keys=2)
@@ -161,6 +189,17 @@ class TestTop:
             assert all(math.isnan(value) for _, value in ranked[-2:])
 
 
+    def test_top_matches_sort_based_reference(self, rng):
+        bank = KeyedEstimatorBank(QUERY)
+        for i, x in enumerate(rng.integers(1, 6, size=120)):
+            bank.update(f"k{i % 9}", Record(float(x)))
+        bank._estimators["poison"] = _NanEstimator()
+        bank._updates["poison"] = 0
+        for n in (1, 3, len(bank), len(bank) + 5):
+            want = rank_estimates_sorted(bank.estimates().items(), n)
+            assert same_ranking(bank.top(n), want)
+
+
 class TestRankEstimates:
     def test_nans_last_in_first_seen_order(self):
         items = [("a", NAN), ("b", 3.0), ("c", NAN), ("d", 7.0)]
@@ -173,6 +212,26 @@ class TestRankEstimates:
     def test_n_truncates(self):
         items = [("a", 1.0), ("b", 2.0), ("c", 3.0)]
         assert rank_estimates(items, 2) == [("c", 3.0), ("b", 2.0)]
+
+    def test_nan_order_under_every_n(self):
+        items = [("a", NAN), ("b", 3.0), ("c", NAN), ("d", 7.0)]
+        expected = {1: ["d"], 2: ["d", "b"], 3: ["d", "b", "a"], 9: ["d", "b", "a", "c"]}
+        for n, keys in expected.items():
+            assert [key for key, _ in rank_estimates(items, n)] == keys
+
+    def test_consumes_a_generator(self):
+        items = (pair for pair in [("a", 1.0), ("b", 2.0)])
+        assert rank_estimates(items, 1) == [("b", 2.0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([NAN, -1.0, 0.0, 1.0, 2.5, math.inf]), max_size=30),
+        n=st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+    )
+    def test_matches_sort_based_reference(self, values, n):
+        # Few distinct values: ties and NaNs in every other draw.
+        items = [(f"k{i}", value) for i, value in enumerate(values)]
+        assert same_ranking(rank_estimates(items, n), rank_estimates_sorted(items, n))
 
 
 class TestGaugeNaming:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +13,15 @@ from hypothesis import strategies as st
 from repro.checkpoint import CheckpointManager
 from repro.core.engine import build_estimator
 from repro.core.query import CorrelatedQuery
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, StreamError
 from repro.keyed import GatedKeyedBank
 from repro.obs.sink import RecordingSink
 from repro.streams.model import Record
+from tests.conftest import rank_estimates_sorted, same_ranking
 
 QUERY = CorrelatedQuery("count", "min", epsilon=9.0)
+DEPENDENTS = ("count", "sum", "avg")
+NAN = float("nan")
 
 
 def _records(rng, n, low=1.0, high=100.0):
@@ -172,6 +179,152 @@ class TestTailAnswers:
         assert len(ranked) == 5
         # n beyond the tracked population returns them all, no padding.
         assert len(bank.top(500)) == len(bank)
+
+
+class TestTailPoints:
+    """The point a tail key answers is the top of its interval, everywhere."""
+
+    @pytest.mark.parametrize("dependent", DEPENDENTS)
+    def test_update_returns_the_interval_top(self, dependent, rng):
+        bank = GatedKeyedBank(
+            CorrelatedQuery(dependent, "min", epsilon=9.0),
+            promote_threshold=16,
+            sketch_capacity=8,
+        )
+        admission = bank._admission
+        y_max = 0.0
+        for i, record in enumerate(_records(rng, 400)):
+            key = f"k{int(rng.integers(0, 30))}" if i % 3 else "hot"
+            y_max = max(y_max, record.y)
+            value = bank.update(key, record)
+            if bank.is_promoted(key):
+                continue
+            answer = bank.estimate_interval(key)
+            assert answer.kind == "sketch"
+            assert value == answer.value == answer.high
+            # Independent of the bank: straight from the sketch's counters.
+            if dependent == "count":
+                assert value == float(admission.hit_bounds(key)[1])
+            elif dependent == "sum":
+                assert value == admission.mass_bound(key)
+            else:
+                assert value == y_max
+        assert bank.is_promoted("hot") and admission.ceiling > 0
+
+    @pytest.mark.parametrize("dependent", DEPENDENTS)
+    def test_untracked_key_answers_the_ceiling_form(self, dependent, rng):
+        bank = GatedKeyedBank(
+            CorrelatedQuery(dependent, "min", epsilon=9.0),
+            promote_threshold=64,
+            sketch_capacity=4,
+        )
+        records = _records(rng, 200)
+        for i, record in enumerate(records):
+            bank.update(f"k{i % 20}", record)
+        admission = bank._admission
+        assert admission.ceiling > 0
+        answer = bank.estimate_interval("never-seen")
+        assert answer.kind == "tail"
+        assert answer.value == answer.high == bank._tail_point(None)
+        if dependent == "count":
+            assert answer.value == float(admission.ceiling)
+        elif dependent == "sum":
+            assert answer.value == admission.ceiling * admission.max_abs_y
+        else:
+            assert answer.value == max(r.y for r in records)
+
+
+class _NanEstimator:
+    """Stand-in for a promoted estimator whose answer is NaN."""
+
+    def estimate(self) -> float:
+        return NAN
+
+
+class TestTopMatchesSortedReference:
+    """``top(n)`` equals ranking the full ``estimates()`` dict by sorting."""
+
+    @staticmethod
+    def _bank(dependent, seed, nan_keys):
+        rng = np.random.default_rng(seed)
+        query = CorrelatedQuery(dependent, "min", epsilon=9.0)
+        budget = GatedKeyedBank(query)._estimator_bytes_hint * 3
+        bank = GatedKeyedBank(
+            query,
+            promote_threshold=8,
+            sketch_capacity=24,
+            memory_budget=budget,
+        )
+        keys = np.minimum(rng.zipf(1.3, size=600), 60)
+        # Integer-valued x and y: tail points and estimates tie often.
+        xs = rng.integers(1, 20, size=600)
+        ys = rng.integers(-2, 4, size=600)
+        for key, x, y in zip(keys.tolist(), xs.tolist(), ys.tolist()):
+            bank.update(key, Record(float(x), float(y)))
+        for key in bank.promoted_keys()[:nan_keys]:
+            bank._promoted[key].estimator = _NanEstimator()
+        return bank
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dependent=st.sampled_from(DEPENDENTS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        nan_keys=st.integers(min_value=0, max_value=2),
+    )
+    def test_property(self, dependent, seed, nan_keys):
+        bank = self._bank(dependent, seed, nan_keys)
+        assert bank.obs_state()["demotions"] >= 1.0  # the budget binds
+        for n in (1, 10, len(bank), len(bank) + 5):
+            want = rank_estimates_sorted(bank.estimates().items(), n)
+            assert same_ranking(bank.top(n), want)
+
+    def test_nan_promoted_keys_rank_last(self):
+        bank = self._bank("count", 7, nan_keys=2)
+        poisoned = [k for k, e in bank._promoted.items() if isinstance(e.estimator, _NanEstimator)]
+        assert len(poisoned) == 2
+        ranked = bank.top(len(bank))
+        assert [key for key, _ in ranked[-2:]] == poisoned
+        assert all(math.isnan(value) for _, value in ranked[-2:])
+
+
+class TestNonFiniteRecords:
+    """A NaN/inf record is refused before the bank's state moves."""
+
+    @staticmethod
+    def _bank():
+        return GatedKeyedBank(
+            CorrelatedQuery("sum", "min", epsilon=9.0),
+            sketch_capacity=8,
+            promote_threshold=4,
+        )
+
+    @pytest.mark.parametrize(
+        "record", [Record(1.0, math.inf), Record(math.nan, 1.0)], ids=["y-inf", "x-nan"]
+    )
+    def test_tail_key_refused_without_state_change(self, record):
+        bank = self._bank()
+        bank.update("b", Record(2.0, 1.0))
+        before = pickle.dumps(bank)
+        with pytest.raises(StreamError, match="non-finite"):
+            bank.update("a", record)
+        assert pickle.dumps(bank) == before
+        assert "a" not in bank
+        assert bank._admission.max_abs_y == 1.0
+        # Unseen keys keep a finite (zero) ceiling answer, not 0 * inf.
+        assert bank.estimate_interval("never-seen").value == 0.0
+
+    def test_promoted_key_refused_without_state_change(self):
+        bank = self._bank()
+        for x in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+            bank.update("a", Record(x, 1.0))
+        assert bank.is_promoted("a")
+        before = pickle.dumps(bank)
+        with pytest.raises(StreamError, match="non-finite"):
+            bank.update("a", Record(2.0, math.nan))
+        assert pickle.dumps(bank) == before
+        bank.update("a", Record(7.0, 1.0))
+        assert bank._promoted["a"].hits == 7
+        assert bank.obs_state()["updates"] == 7.0
 
 
 class TestMemoryBudget:
