@@ -68,7 +68,13 @@ from repro.histograms.reallocate import (
 )
 from repro.obs.sink import NULL_SINK, ObsSink
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.streams.columns import as_columns, columns_to_records, records_to_columns
+from repro.streams.columns import (
+    HAVE_NUMPY,
+    as_columns,
+    columns_to_records,
+    np,
+    records_to_columns,
+)
 from repro.streams.model import Record, check_collect, ensure_finite
 from repro.structures.ring_buffer import RingBuffer
 
@@ -78,6 +84,9 @@ STRATEGIES = ("wholesale", "piecemeal")
 #: kernel, bounding the O(chunk) staging arrays (and the O(chunk * m)
 #: per-record output matrices of ``collect="all"``) on huge batches.
 COLUMN_CHUNK = 16_384
+
+#: Two-tail side labels by column code (0 left, 1 focus, 2 right).
+_TWO_TAIL_SIDES = ("L", "I", "R")
 
 
 class FocusedEstimatorBase:
@@ -173,6 +182,11 @@ class FocusedEstimatorBase:
 
     def _route_remove(self, record: Record, side: str) -> None:
         """Debit one expiring record from the side it was credited to."""
+        raise NotImplementedError
+
+    def _route_columns(self, xs, ys) -> list[str]:
+        """:meth:`_route_add` for float64 columns, used only when
+        :meth:`_swaps_on_add` is False; return the sides in order."""
         raise NotImplementedError
 
     def _should_reallocate(self, lo: float, hi: float) -> bool:
@@ -316,9 +330,13 @@ class FocusedEstimatorBase:
 
     # ------------------------------------------------- quantile maintenance
 
+    def _swaps_on_add(self) -> bool:
+        """Whether inserts run quantile merge/split maintenance."""
+        return self._swap_enabled and self._policy == "quantile"
+
     def _after_add(self) -> None:
         """Quantile-policy merge/split swap, every ``swap_period`` inserts."""
-        if not self._swap_enabled or self._policy != "quantile":
+        if not self._swaps_on_add():
             return
         self._adds_since_swap += 1
         if self._adds_since_swap >= self._swap_period:
@@ -632,13 +650,29 @@ class TwoTailSummaryMixin:
         assert self._inner is not None
         side = self._classify(record.x)
         if side == "L":
-            self._left_tail += Mass(1.0, record.y)
+            tail = self._left_tail
+            self._left_tail = Mass(tail.count + 1.0, tail.weight + record.y)
         elif side == "R":
-            self._right_tail += Mass(1.0, record.y)
+            tail = self._right_tail
+            self._right_tail = Mass(tail.count + 1.0, tail.weight + record.y)
         else:
             self._inner.add(record.x, record.y)
             self._after_add()
         return side
+
+    def _route_columns(self, xs, ys) -> list[str]:
+        """:meth:`_route_add` over float64 columns, for hosts without
+        per-insert maintenance: each account is credited in column order,
+        and the sides come back as a list."""
+        assert self._inner is not None
+        left = xs < self._inner.low
+        right = xs > self._inner.high
+        focus = ~(left | right)
+        self._left_tail = self._left_tail.plus_each(ys[left])
+        self._right_tail = self._right_tail.plus_each(ys[right])
+        self._inner.add_many(xs[focus], ys[focus])
+        codes = np.where(left, 0, np.where(right, 2, 1)).tolist()
+        return [_TWO_TAIL_SIDES[code] for code in codes]
 
     def _route_remove(self, record: Record, side: str) -> None:
         """Expire a record from the account its mass was credited to."""
@@ -935,8 +969,23 @@ class RingWindowMixin:
         self._reseed_from_window()  # warm-up is shorter than the window
 
     def _reseed_from_window(self) -> None:
-        for cell in self._ring:
-            cell[1] = self._route_add(cell[0])
+        """Re-route every live record into the freshly partitioned summary.
+
+        Without per-insert maintenance the whole window goes through
+        :meth:`_route_columns` at once.  The quantile policy's merge/split
+        swap fires every ``swap_period`` inserts in the middle of a
+        reseed, so it keeps the record-at-a-time loop.
+        """
+        cells = list(self._ring)
+        if not HAVE_NUMPY or self._swaps_on_add():
+            for cell in cells:
+                cell[1] = self._route_add(cell[0])
+            return
+        n = len(cells)
+        xs = np.fromiter((cell[0].x for cell in cells), dtype=np.float64, count=n)
+        ys = np.fromiter((cell[0].y for cell in cells), dtype=np.float64, count=n)
+        for cell, side in zip(cells, self._route_columns(xs, ys)):
+            cell[1] = side
 
     def _population(self) -> float:
         return float(len(self._ring))

@@ -30,8 +30,6 @@ own routing, reallocation (with the clamp-back spill conservation), and
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.core.focused import STRATEGIES, FocusedEstimatorBase, RingWindowMixin
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
@@ -189,8 +187,17 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
             self._inner.add(min(max(record.x, self._inner.low), self._inner.high), record.y)
             self._after_add()
             return "I"
-        self._tail += Mass(1.0, record.y)
+        self._tail = Mass(self._tail.count + 1.0, self._tail.weight + record.y)
         return "T"
+
+    def _route_columns(self, xs, ys) -> list[str]:
+        """:meth:`_route_add` over float64 columns (no per-insert swaps)."""
+        inner = self._inner
+        assert inner is not None
+        focus = (xs <= inner.high) if self._mode == "min" else (xs >= inner.low)
+        inner.add_many(np.clip(xs[focus], inner.low, inner.high), ys[focus])
+        self._tail = self._tail.plus_each(ys[~focus])
+        return ["I" if inside else "T" for inside in focus.tolist()]
 
     def _route_remove(self, record: Record, side: str) -> None:
         """Expire a record from the account its mass was credited to."""
@@ -239,10 +246,10 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         """Vectorised steady-state ingestion for the sliding-extrema scope.
 
         A pure-Python replay of both interval trackers produces the
-        per-record ``extremum()``/``worst_local()`` trace (the folds are
-        maintained incrementally: recomputed at interval turnover, one
-        comparison per record otherwise — bit-identical to the tracker's
-        left folds).  Eviction is resolved from a history array (the
+        per-record ``extremum()``/``worst_local()`` trace with the tracker's
+        own scheme (folds recomputed at interval turnover, one comparison
+        per record otherwise); states go back through the tracker's
+        ``_install``.  Eviction is resolved from a history array (the
         pre-chunk ring contents followed by the chunk itself): record
         ``i`` evicts history entry ``s + i - w``.  Between boundary
         records (reallocation triggers, periodic-rebuild countdowns,
@@ -269,17 +276,8 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         # Both trackers share window/num_intervals and see every push, so
         # one interval countdown serves both.
         cnt_c = tracked._current_count
-
-        def fold(values, f):
-            if not values:
-                return None
-            acc = values[0]
-            for v in values[1:]:
-                acc = f(acc, v)
-            return acc
-
-        best_t = fold(loc_t, better)
-        worst_t = fold(loc_t, worse)
+        best_t = tracked._settled_best
+        worst_t = tracked._settled_worst
         ext_l: list[float] = []
         worst_l: list[float] = []
         ap_ext = ext_l.append
@@ -320,8 +318,8 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
                     loc_t.pop(0)
                 while len(loc_o) > kmax:
                     loc_o.pop(0)
-                best_t = fold(loc_t, better)
-                worst_t = fold(loc_t, worse)
+                best_t = better(loc_t)
+                worst_t = worse(loc_t)
                 ap_ext(best_t)
                 ap_worst(worst_t)
             elif best_t is None:
@@ -394,14 +392,8 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
                         lt.pop(0)
                     while len(lo_) > kmax:
                         lo_.pop(0)
-            tracked._locals = deque(lt)
-            tracked._current = ct
-            tracked._current_count = cc
-            tracked._total_seen = ts0 + upto
-            opposite._locals = deque(lo_)
-            opposite._current = co
-            opposite._current_count = cc
-            opposite._total_seen = ts0 + upto
+            tracked._install(lt, ct, cc, ts0 + upto)
+            opposite._install(lo_, co, cc, ts0 + upto)
 
         def sync_ring(upto: int) -> None:
             """Rebuild the live window as of ``upto`` chunk records from
@@ -523,14 +515,8 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
 
         # End of chunk: install the final tracker states and rebuild the
         # live window from the history tail.
-        tracked._locals = deque(loc_t)
-        tracked._current = cur_t
-        tracked._current_count = cnt_c
-        tracked._total_seen = ts0 + n
-        opposite._locals = deque(loc_o)
-        opposite._current = cur_o
-        opposite._current_count = cnt_c
-        opposite._total_seen = ts0 + n
+        tracked._install(loc_t, cur_t, cnt_c, ts0 + n)
+        opposite._install(loc_o, cur_o, cnt_c, ts0 + n)
         sync_ring(n)
 
     def _boundary_step(

@@ -52,6 +52,26 @@ class Mass(NamedTuple):
         """Both components floored at zero (for post-deletion estimates)."""
         return Mass(max(self.count, 0.0), max(self.weight, 0.0))
 
+    def plus_each(self, ys: Sequence[float]) -> "Mass":
+        """This mass after crediting one tuple per ``y`` in ``ys``, in order.
+
+        Exactly ``m = Mass(m.count + 1.0, m.weight + y)`` per entry: each
+        sum is one sequential ``cumsum`` seeded with the current value
+        (``np.sum`` adds pairwise and would round differently).  Needs
+        numpy; the column routing that calls it runs only when numpy is
+        present.
+        """
+        n = len(ys)
+        if not n:
+            return self
+        column = np.empty(n + 1)
+        column[0] = self.count
+        column[1:] = 1.0
+        count = float(np.cumsum(column)[-1])
+        column[0] = self.weight
+        column[1:] = ys
+        return Mass(count, float(np.cumsum(column)[-1]))
+
 
 ZERO_MASS = Mass(0.0, 0.0)
 
@@ -225,23 +245,31 @@ class BucketArray:
 
         The query interval is intersected with the histogram range; buckets
         fully inside contribute their whole mass, partially overlapped
-        buckets contribute pro-rata by width.
+        buckets contribute pro-rata by width.  Only the overlapped buckets
+        are visited — bisection finds the first (``right > lo``) and the
+        last (``left < hi``) — and they are summed in bucket order.
         """
         if hi < lo:
             raise HistogramError(f"reversed interval [{lo}, {hi}]")
-        lo = max(lo, self._edges[0])
-        hi = min(hi, self._edges[-1])
+        edges = self._edges
+        lo = max(lo, edges[0])
+        hi = min(hi, edges[-1])
         if hi <= lo:
             return ZERO_MASS
+        counts = self._counts
+        weights = self._weights
         count = 0.0
         weight = 0.0
-        for i, (left, right) in enumerate(zip(self._edges, self._edges[1:])):
-            overlap = min(hi, right) - max(lo, left)
-            if overlap <= 0.0:
-                continue
-            fraction = overlap / (right - left)
-            count += self._counts[i] * fraction
-            weight += self._weights[i] * fraction
+        for i in range(bisect.bisect_right(edges, lo) - 1, bisect.bisect_left(edges, hi)):
+            left = edges[i]
+            right = edges[i + 1]
+            # min(hi, right) - max(lo, left) without two calls per bucket;
+            # on ties each picks the operand the builtin would.
+            fraction = ((right if right < hi else hi) - (left if left > lo else lo)) / (
+                right - left
+            )
+            count += counts[i] * fraction
+            weight += weights[i] * fraction
         return Mass(count, weight)
 
     def estimate_leq(self, threshold: float) -> Mass:

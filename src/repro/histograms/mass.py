@@ -30,6 +30,18 @@ from __future__ import annotations
 from repro.histograms.bucket import ZERO_MASS, BucketArray, Mass
 
 
+def _tail_share(tail: Mass, span_lo: float, span_hi: float, lo: float, hi: float) -> Mass:
+    """The share of a tail over ``[span_lo, span_hi]`` inside ``(lo, hi)``."""
+    span = span_hi - span_lo
+    if span <= 0.0:
+        inside = lo <= span_lo <= hi
+        return tail if inside else ZERO_MASS
+    overlap = min(hi, span_hi) - max(lo, span_lo)
+    if overlap <= 0.0:
+        return ZERO_MASS
+    return tail.scaled(min(overlap / span, 1.0))
+
+
 def band_mass(
     inner: BucketArray,
     left_tail: Mass,
@@ -47,19 +59,8 @@ def band_mass(
     uniformity assumption; ``hi`` may be ``math.inf`` for one-sided
     queries).
     """
-
-    def tail_share(tail: Mass, span_lo: float, span_hi: float) -> Mass:
-        span = span_hi - span_lo
-        if span <= 0.0:
-            inside = lo <= span_lo <= hi
-            return tail if inside else ZERO_MASS
-        overlap = min(hi, span_hi) - max(lo, span_lo)
-        if overlap <= 0.0:
-            return ZERO_MASS
-        return tail.scaled(min(overlap / span, 1.0))
-
-    total = tail_share(left_tail, xmin, inner.low)
-    total += tail_share(right_tail, inner.high, xmax)
+    total = _tail_share(left_tail, xmin, inner.low, lo, hi)
+    total += _tail_share(right_tail, inner.high, xmax, lo, hi)
     clipped_lo = max(lo, inner.low)
     clipped_hi = min(hi, inner.high)
     if clipped_hi > clipped_lo:

@@ -34,13 +34,21 @@ class IntervalExtremaTracker:
     window:
         Size ``w`` of the sliding window, in tuples.
     num_intervals:
-        Number of fixed-length intervals the window is partitioned into.
-        Must divide evenly into a positive interval length; if ``window`` is
-        not a multiple, the interval length is rounded up so the covered
-        span is at least the window.
+        Number of fixed-length intervals the window is partitioned into
+        (at most ``window``).  The interval length is
+        ``ceil(window / num_intervals)``, so when ``window`` is not a
+        multiple the covered span is slightly longer than the window.
     mode:
         ``'min'`` or ``'max'``.
+
+    :meth:`extremum` and :meth:`worst_local` answer in O(1): the best and
+    the worst of the completed intervals are folded once, when an interval
+    completes, and each answer compares them with the open interval.  The
+    cached folds stay out of the pickled state and are recomputed on load.
     """
+
+    #: Cached folds over ``_locals``; recomputed, never pickled.
+    _FOLDS = ("_settled_best", "_settled_worst")
 
     def __init__(self, window: int, num_intervals: int = 10, mode: str = "min") -> None:
         if window <= 0:
@@ -62,6 +70,8 @@ class IntervalExtremaTracker:
         self._current: float | None = None
         self._current_count = 0
         self._total_seen = 0
+        self._settled_best: float | None = None
+        self._settled_worst: float | None = None
 
     @property
     def window(self) -> int:
@@ -75,19 +85,17 @@ class IntervalExtremaTracker:
     def mode(self) -> str:
         return self._mode
 
-    def _better(self, a: float, b: float) -> float:
-        return min(a, b) if self._mode == "min" else max(a, b)
-
-    def _worse(self, a: float, b: float) -> float:
-        return max(a, b) if self._mode == "min" else min(a, b)
-
     def push(self, value: float) -> None:
         """Observe the next stream value."""
         self._total_seen += 1
-        if self._current is None:
+        current = self._current
+        if current is None:
             self._current = value
-        else:
-            self._current = self._better(self._current, value)
+        elif self._mode == "min":
+            if value < current:  # min(current, value), first minimum kept
+                self._current = value
+        elif value > current:  # max(current, value), first maximum kept
+            self._current = value
         self._current_count += 1
         if self._current_count == self._interval_length:
             self._locals.append(self._current)
@@ -97,22 +105,43 @@ class IntervalExtremaTracker:
             # current (partial) interval plus num_intervals completed ones.
             while len(self._locals) > self._max_intervals:
                 self._locals.popleft()
+            self._refresh_folds()
 
-    def _all_locals(self) -> list[float]:
-        values = list(self._locals)
-        if self._current is not None:
-            values.append(self._current)
-        return values
+    def _refresh_folds(self) -> None:
+        """Fold the completed intervals: builtin ``min``/``max`` keep the
+        first extreme element, exactly as a left fold of pairwise
+        ``min``/``max`` does (so ``0.0`` vs ``-0.0`` ties come out alike)."""
+        if not self._locals:
+            self._settled_best = self._settled_worst = None
+        elif self._mode == "min":
+            self._settled_best = min(self._locals)
+            self._settled_worst = max(self._locals)
+        else:
+            self._settled_best = max(self._locals)
+            self._settled_worst = min(self._locals)
+
+    def _install(
+        self, locals_: list[float], current: float | None, current_count: int, total_seen: int
+    ) -> None:
+        """Set the whole interval state at once (batch kernels replay pushes
+        outside the tracker and install the result here)."""
+        self._locals = deque(locals_)
+        self._current = current
+        self._current_count = current_count
+        self._total_seen = total_seen
+        self._refresh_folds()
 
     def extremum(self) -> float:
         """Estimated window extremum: best over the retained local extrema."""
-        values = self._all_locals()
-        if not values:
-            raise StreamError("extremum() before any value was pushed")
-        best = values[0]
-        for v in values[1:]:
-            best = self._better(best, v)
-        return best
+        best = self._settled_best
+        current = self._current
+        if best is None:
+            if current is None:
+                raise StreamError("extremum() before any value was pushed")
+            return current
+        if current is None:
+            return best
+        return min(best, current) if self._mode == "min" else max(best, current)
 
     def worst_local(self) -> float:
         """``maxmin`` for MIN mode (``minmax`` for MAX mode).
@@ -121,13 +150,22 @@ class IntervalExtremaTracker:
         where the window extremum can move as intervals expire, used to size
         the histogram focus region in the sliding-window algorithms.
         """
-        values = self._all_locals()
-        if not values:
-            raise StreamError("worst_local() before any value was pushed")
-        worst = values[0]
-        for v in values[1:]:
-            worst = self._worse(worst, v)
-        return worst
+        worst = self._settled_worst
+        current = self._current
+        if worst is None:
+            if current is None:
+                raise StreamError("worst_local() before any value was pushed")
+            return current
+        if current is None:
+            return worst
+        return max(worst, current) if self._mode == "min" else min(worst, current)
+
+    def __getstate__(self) -> dict[str, object]:
+        return {k: v for k, v in self.__dict__.items() if k not in self._FOLDS}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._refresh_folds()
 
     def __len__(self) -> int:
         """Number of retained local extrema (completed + current partial)."""

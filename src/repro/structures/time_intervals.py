@@ -14,6 +14,7 @@ none.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from repro.exceptions import ConfigurationError, StreamError
@@ -31,7 +32,8 @@ class TimeIntervalExtremaTracker:
     mode:
         ``'min'`` or ``'max'``.
 
-    Timestamps must be non-decreasing (stream order).
+    Timestamps must be non-decreasing (stream order) and, like values,
+    finite.
     """
 
     def __init__(self, duration: float, num_intervals: int = 10, mode: str = "min") -> None:
@@ -68,7 +70,13 @@ class TimeIntervalExtremaTracker:
         return max(a, b) if self._mode == "min" else min(a, b)
 
     def push(self, time: float, value: float) -> None:
-        """Observe ``value`` at stream time ``time`` (non-decreasing)."""
+        """Observe ``value`` at stream time ``time`` (non-decreasing).
+
+        A non-finite time or value raises :class:`StreamError` and leaves
+        the tracker untouched.
+        """
+        if not (math.isfinite(time) and math.isfinite(value)):
+            raise StreamError(f"non-finite push: time={time!r}, value={value!r}")
         if self._last_time is not None and time < self._last_time:
             raise StreamError(
                 f"timestamps must be non-decreasing: {time} after {self._last_time}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -253,3 +254,91 @@ class TestMassConservationProperties:
                 h.counts[i] for i in range(h.num_buckets) if h.edges[i + 1] <= edge
             )
             assert h.estimate_leq(edge).count == pytest.approx(counted)
+
+
+def _full_scan_between(array: BucketArray, lo: float, hi: float) -> Mass:
+    """``estimate_between`` as a scan over every bucket, for comparison."""
+    edges, counts, weights = array.edges, array.counts, array.weights
+    lo = max(lo, edges[0])
+    hi = min(hi, edges[-1])
+    if hi <= lo:
+        return ZERO_MASS
+    count = 0.0
+    weight = 0.0
+    for i, (left, right) in enumerate(zip(edges, edges[1:])):
+        overlap = min(hi, right) - max(lo, left)
+        if overlap <= 0.0:
+            continue
+        fraction = overlap / (right - left)
+        count += counts[i] * fraction
+        weight += weights[i] * fraction
+    return Mass(count, weight)
+
+
+@st.composite
+def _array_and_interval(draw):
+    start = draw(st.floats(-1e3, 1e3))
+    widths = draw(st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=12))
+    edges = [start]
+    for width in widths:
+        edges.append(edges[-1] + width)
+    edges = sorted(set(edges))
+    if len(edges) < 2:
+        edges = [start, start + 1.0]
+    k = len(edges) - 1
+    masses = st.floats(-50.0, 1e4)
+    counts = draw(st.lists(masses, min_size=k, max_size=k))
+    weights = draw(st.lists(masses, min_size=k, max_size=k))
+    # Interval ends: on an edge, inside the range, or beyond either end.
+    point = st.one_of(
+        st.sampled_from(edges),
+        st.floats(edges[0], edges[-1]),
+        st.floats(edges[0] - 100.0, edges[-1] + 100.0),
+        st.sampled_from([float("-inf"), float("inf")]),
+    )
+    a, b = draw(point), draw(point)
+    if draw(st.booleans()):
+        b = a  # degenerate hi == lo
+    return BucketArray(edges, counts, weights), min(a, b), max(a, b)
+
+
+class TestOverlapOnlyEstimate:
+    @given(case=_array_and_interval())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_scan_bit_for_bit(self, case):
+        array, lo, hi = case
+        got = array.estimate_between(lo, hi)
+        want = _full_scan_between(array, lo, hi)
+        assert (got.count.hex(), got.weight.hex()) == (want.count.hex(), want.weight.hex())
+
+    def test_edge_aligned_interval_reads_only_covered_buckets(self):
+        array = BucketArray([0.0, 1.0, 2.0, 3.0], [1.0, 10.0, 100.0], [2.0, 20.0, 200.0])
+        assert array.estimate_between(1.0, 2.0) == Mass(10.0, 20.0)
+        assert array.estimate_between(2.0, 2.0) == ZERO_MASS
+        assert array.estimate_between(-5.0, 0.0) == ZERO_MASS
+        assert array.estimate_between(3.0, 9.0) == ZERO_MASS
+        assert array.estimate_between(0.5, 2.5) == Mass(0.5 + 10.0 + 50.0, 1.0 + 20.0 + 100.0)
+
+
+class TestPlusEach:
+    @given(
+        start=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e6, 1e6)),
+        ys=st.lists(
+            st.one_of(st.floats(-1e12, 1e12), st.sampled_from([0.0, -0.0, 1e-9])),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_sequential_scalar_credit(self, start, ys):
+        want = Mass(*start)
+        for y in ys:
+            want = want + Mass(1.0, y)
+        got = Mass(*start).plus_each(np.asarray(ys, dtype=np.float64))
+        assert (got.count.hex(), got.weight.hex()) == (want.count.hex(), want.weight.hex())
+
+    def test_seeded_with_the_current_value(self):
+        # 0.0 + -0.0 is 0.0; an unseeded cumsum would start at -0.0.
+        got = ZERO_MASS.plus_each(np.asarray([-0.0]))
+        assert got.weight.hex() == "0x0.0p+0"
+        assert got == Mass(1.0, 0.0)
+        assert ZERO_MASS.plus_each(np.asarray([])) is ZERO_MASS

@@ -43,6 +43,7 @@ HOOK_MARKERS = (
     "_seed_histogram",
     "_steady_columns",
     "_columns_supported",
+    "_route_columns",
 )
 
 #: Kernel-owned machinery: no kernel subclass may define these.
