@@ -363,7 +363,7 @@ class FocusedEstimatorBase:
             len(records),
             records.__getitem__,
             lambda lo: records[lo:],
-            lambda lo, hi: records_to_columns(records[lo:hi]),
+            lambda: records_to_columns(records),
             collect,
         )
 
@@ -386,7 +386,7 @@ class FocusedEstimatorBase:
             len(x_col),
             lambda j: Record(float(x_col[j]), float(y_col[j])),
             lambda lo: columns_to_records(x_col[lo:], y_col[lo:]),
-            lambda lo, hi: (x_col[lo:hi], y_col[lo:hi]),
+            lambda: (x_col, y_col),
             collect,
         )
 
@@ -397,15 +397,18 @@ class FocusedEstimatorBase:
         accessors, each in the form it already holds them:
         ``record_at(j)`` returns tuple ``j`` as a :class:`Record`,
         ``records_from(j)`` returns tuples ``j..n-1`` as a list of
-        records, and ``columns(lo, hi)`` returns tuples ``lo..hi-1`` as an
-        ``(xs, ys)`` float64 column pair.
+        records, and ``columns()`` returns the whole chunk as an
+        ``(xs, ys)`` float64 column pair.  ``columns()`` is called at
+        most once per chunk; every kernel below works on slices of it.
 
-        Warmup tuples run one at a time through the scalar step.  The
+        When :meth:`_columns_supported` allows the family kernel (numpy
+        present, tracing off, and whatever the family's own gates
+        require) and no per-record answers are wanted, warm-up tuples go
+        to the family's :meth:`_warmup_columns` as columns; otherwise
+        they run one at a time through the scalar step.  The
         steady-state remainder goes, ``COLUMN_CHUNK`` tuples at a time,
-        through the family kernel's :meth:`_steady_columns` when
-        :meth:`_columns_supported` allows it (numpy present, tracing off,
-        and whatever the family's own gates require), and through the
-        scalar loop otherwise.
+        through the family kernel's :meth:`_steady_columns` when the
+        kernel is allowed, and through the scalar loop otherwise.
         """
         if self._timestamped:
             raise ConfigurationError(
@@ -413,8 +416,17 @@ class FocusedEstimatorBase:
             )
         check_collect(collect)
         collect_all = collect == "all"
+        kernel = self._columns_supported(collect)
         outputs: list[float] = []
+        cols = None
         i = 0
+        if self._buffer is not None and kernel and not collect_all:
+            cols = columns()
+            while i < n and self._buffer is not None:
+                hi = i + COLUMN_CHUNK
+                i += self._warmup_columns(
+                    cols[0][i:hi], cols[1][i:hi], lambda j, lo=i: record_at(lo + j)
+                )
         while i < n and self._buffer is not None:
             if collect_all:
                 outputs.append(self.update(record_at(i)))
@@ -423,11 +435,12 @@ class FocusedEstimatorBase:
             i += 1
         if i >= n:
             return outputs
-        if self._columns_supported(collect):
+        if kernel:
+            xs, ys = cols if cols is not None else columns()
             for lo in range(i, n, COLUMN_CHUNK):
-                xs, ys = columns(lo, lo + COLUMN_CHUNK)
+                hi = lo + COLUMN_CHUNK
                 self._steady_columns(
-                    xs, ys, lambda j, lo=lo: record_at(lo + j), outputs, collect
+                    xs[lo:hi], ys[lo:hi], lambda j, lo=lo: record_at(lo + j), outputs, collect
                 )
         elif collect_all:
             update = self.update
@@ -439,6 +452,26 @@ class FocusedEstimatorBase:
             for record in records_from(i):
                 absorb(record)
         return outputs
+
+    def _warmup_columns(self, xs, ys, record_at) -> int:
+        """Warm-up ingestion of a column chunk; return the tuples consumed.
+
+        Family-kernel hook, reached only when :meth:`_columns_supported`
+        allows the kernel and ``collect`` is not ``"all"``.  It consumes
+        tuples from the front of ``xs``/``ys`` at least until the
+        histogram is built or the chunk ends, and may go on into the
+        steady state; whatever it consumed must leave exactly the state
+        the scalar loop would.  The caller sends any rest on to
+        :meth:`_steady_columns`.  ``record_at(j)`` materialises tuple
+        ``j`` as a :class:`Record`.  The default drains through the
+        scalar step one record at a time.
+        """
+        n = len(xs)
+        i = 0
+        while i < n and self._buffer is not None:
+            self._absorb(record_at(i))
+            i += 1
+        return i
 
     def _columns_supported(self, collect: str) -> bool:
         """Whether :meth:`_steady_columns` can take chunks right now.

@@ -47,6 +47,24 @@ from repro.structures.welford import RunningMoments
 __all__ = ["LandmarkAvgEstimator", "STRATEGIES"]
 
 
+def _running_extremum(seed: float, xs, better):
+    """The running minimum (``better=np.minimum``) or maximum after each x.
+
+    Equal to the scalar ``if x < mn: mn = x`` replay, including on ties:
+    the only distinct floats that compare equal are +0.0 and -0.0, and
+    the scalar replay keeps the earlier one.  When a zero shows up, each
+    entry is therefore re-read from the last strict improvement.
+    """
+    values = np.concatenate(((seed,), xs))
+    run = better.accumulate(values)
+    if not (run == 0.0).any():
+        return run[1:]
+    improved = (xs < run[:-1]) if better is np.minimum else (xs > run[:-1])
+    source = np.where(improved, np.arange(1, len(values)), 0)
+    np.maximum.accumulate(source, out=source)
+    return values[source]
+
+
 class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
     """Single-pass estimator for ``AGG-D{y : x > AVG(x)}`` over a landmark scope.
 
@@ -168,42 +186,31 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
         """
         n = len(xs)
         moments = self._moments
-        cnt = moments._count
+        cnt0 = moments._count
         mean = moments._mean
         m2 = moments._m2
-        mn = moments._min
-        mx = moments._max
-        state0 = (cnt, mean, m2, mn, mx)
-        cnt_l: list[int] = []
+        state0 = (cnt0, mean, m2, moments._min, moments._max)
+        # Only the Welford recurrence itself needs the Python loop: the
+        # count is a range, and the extrema are running accumulations.
         mean_l: list[float] = []
         m2_l: list[float] = []
-        mn_l: list[float] = []
-        mx_l: list[float] = []
-        ap_c = cnt_l.append
         ap_mean = mean_l.append
         ap_m2 = m2_l.append
-        ap_mn = mn_l.append
-        ap_mx = mx_l.append
+        cnt = cnt0
         for x in xs.tolist():
             cnt += 1
             delta = x - mean
             mean += delta / cnt
             m2 += delta * (x - mean)
-            if x < mn:
-                mn = x
-            if x > mx:
-                mx = x
-            ap_c(cnt)
             ap_mean(mean)
             ap_m2(m2)
-            ap_mn(mn)
-            ap_mx(mx)
+        cnt_l = range(cnt0 + 1, cnt0 + n + 1)
+        mn_a = _running_extremum(moments._min, xs, np.minimum)
+        mx_a = _running_extremum(moments._max, xs, np.maximum)
 
-        cnt_a = np.asarray(cnt_l, dtype=np.float64)
+        cnt_a = np.arange(cnt0 + 1, cnt0 + n + 1, dtype=np.float64)
         mean_a = np.asarray(mean_l)
         m2_a = np.asarray(m2_l)
-        mn_a = np.asarray(mn_l)
-        mx_a = np.asarray(mx_l)
         # _clt_interval, op for op (max/min ties on ±0.0 only affect the
         # sign of a zero, which the trigger comparison takes abs() of).
         se = np.sqrt(np.maximum(m2_a / cnt_a, 0.0)) / np.sqrt(cnt_a)
@@ -285,13 +292,17 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
                 # where the scalar loop would have put it.
                 j = boundary - 1
                 if j >= 0:
-                    moments.load(cnt_l[j], mean_l[j], m2_l[j], mn_l[j], mx_l[j])
+                    moments.load(
+                        cnt_l[j], mean_l[j], m2_l[j], float(mn_a[j]), float(mx_a[j])
+                    )
                 else:
                     moments.load(*state0)
                 self._absorb(record_at(boundary))
                 pos = boundary + 1
             else:
-                moments.load(cnt_l[-1], mean_l[-1], m2_l[-1], mn_l[-1], mx_l[-1])
+                moments.load(
+                    cnt_l[-1], mean_l[-1], m2_l[-1], float(mn_a[-1]), float(mx_a[-1])
+                )
                 pos = n
 
     def _regime_break(self, lo: float, hi: float, old_lo: float, old_hi: float) -> bool:

@@ -19,7 +19,10 @@ fires:
 
 During warm-up the estimator buffers in-region tuples exactly (the paper's
 InitializeHistogram reads until m tuples survive the purges), so early
-answers are exact.
+answers are exact.  With a narrow region this can last a long time: every
+new extremum purges the buffer down to the tuples inside its region, and
+on USAGE ``SUM{y: x >= MAX(x)/1.5}`` can stay in warm-up for a whole
+25,000-tuple stream.
 
 This is the leanest subclass of the shared kernel
 (:mod:`repro.core.focused`): no tails (every bucket is a focus bucket),
@@ -30,9 +33,14 @@ columnar path: :meth:`~LandmarkExtremaEstimator._steady_columns`
 vectorises whole chunks (membership masks, one ``searchsorted`` per
 segment, scatter-adds into staged bucket arrays) and drops to the real
 scalar machinery only at region shifts and error boundaries.
+:meth:`~LandmarkExtremaEstimator._warmup_columns` does the same for the
+warm-up: purges, refusals and the tuple that fills the buffer are its
+scalar boundaries, and everything between them is one in-region mask.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.core.focused import STRATEGIES, FocusedEstimatorBase
 from repro.core.query import CorrelatedQuery
@@ -145,9 +153,11 @@ class LandmarkExtremaEstimator(FocusedEstimatorBase):
         # in-region tuples are admitted at all.
         assert self._buffer is not None
         if self._is_new_extremum(record.x):
+            # The region first: a refused extremum must leave no trace.
+            region = self._region_for(record.x)
             self._extremum = record.x
-            self._region = self._region_for(record.x)
-            low, high = self._region
+            self._region = region
+            low, high = region
             self._buffer = [r for r in self._buffer if low <= r.x <= high]
         low, high = self._region  # type: ignore[misc]
         if low <= record.x <= high:
@@ -246,36 +256,89 @@ class LandmarkExtremaEstimator(FocusedEstimatorBase):
         # events fire only inside the scalar boundary calls.
         return HAVE_NUMPY and not self._tracer.enabled and self._policy != "quantile"
 
-    def _steady_columns(self, xs, ys, record_at, outputs, collect: str) -> None:
-        # Chunk plan: precompute the running prior extremum (pure data, so
-        # it stays valid across in-chunk shifts), mark every region shift
-        # and non-finite input as a hard boundary, vectorise the segments
-        # between boundaries (membership masks, searchsorted, sequential
-        # scatter-adds into staged bucket arrays — np.add.at applies
-        # element-by-element in argument order, so float accumulation
-        # matches the scalar loop bit for bit), and push each boundary
-        # record through the real scalar machinery after syncing the
-        # staged mass back into the histogram.
+    def _hard_boundaries(self, xs, ys) -> list[int]:
+        """Chunk plan: positions of every new extremum and non-finite input.
+
+        The running prior extremum is pure data, so one pass over a
+        non-empty chunk stays valid across every region shift inside it.
+        """
+        is_min = self._query.independent == "min"
+        seed = self._extremum
+        if seed is None:
+            seed = math.inf if is_min else -math.inf
+        accumulate = np.minimum.accumulate if is_min else np.maximum.accumulate
+        prior = accumulate(np.concatenate(((seed,), xs[:-1])))
+        shift = (xs < prior) if is_min else (xs > prior)
+        return (shift | ~(np.isfinite(xs) & np.isfinite(ys))).nonzero()[0].tolist()
+
+    def _warmup_columns(self, xs, ys, record_at) -> int:
+        # Each hard boundary (a purge, a refusal or a non-finite input)
+        # runs through the scalar step.  Between boundaries the region is
+        # fixed and no tuple passes the extremum, so only the region's far
+        # edge can exclude one: the tuples inside it are buffered as
+        # records, and the one that brings the buffer to m goes through
+        # the scalar step, which builds the histogram.  The rest of the
+        # chunk continues on the same plan into the steady-state kernel.
         n = len(xs)
         if n == 0:
-            return
+            return 0
+        is_min = self._query.independent == "min"
+        hard = self._hard_boundaries(xs, ys)
+        pos = 0
+        for k, boundary in enumerate(hard + [n]):
+            if boundary > pos:
+                assert self._buffer is not None and self._region is not None
+                seg = xs[pos:boundary]
+                inside = (seg <= self._region[1]) if is_min else (seg >= self._region[0])
+                hits = (inside.nonzero()[0] + pos).tolist()
+                need = self._m - len(self._buffer)
+                if len(hits) >= need:
+                    self._buffer.extend(map(record_at, hits[: need - 1]))
+                    filled = hits[need - 1]
+                    self._absorb(record_at(filled))
+                    return self._continue_steady(xs, ys, record_at, filled + 1, hard[k:])
+                self._buffer.extend(map(record_at, hits))
+            if boundary == n:
+                break
+            self._absorb(record_at(boundary))
+            if self._buffer is None:
+                return self._continue_steady(xs, ys, record_at, boundary + 1, hard[k + 1 :])
+            pos = boundary + 1
+        return n
+
+    def _continue_steady(self, xs, ys, record_at, start: int, hard: list[int]) -> int:
+        """Run ``xs[start:]`` through the steady kernel on the chunk's plan."""
+        n = len(xs)
+        if start < n:
+            self._steady_segments(
+                xs[start:],
+                ys[start:],
+                [b - start for b in hard],
+                lambda j: record_at(start + j),
+                [],
+                "none",
+            )
+        return n
+
+    def _steady_columns(self, xs, ys, record_at, outputs, collect: str) -> None:
+        if len(xs):
+            self._steady_segments(
+                xs, ys, self._hard_boundaries(xs, ys), record_at, outputs, collect
+            )
+
+    def _steady_segments(self, xs, ys, hard, record_at, outputs, collect: str) -> None:
+        # Vectorise the segments between the plan's hard boundaries
+        # (membership masks, searchsorted, sequential scatter-adds into
+        # staged bucket arrays — np.add.at applies element-by-element in
+        # argument order, so float accumulation matches the scalar loop
+        # bit for bit), and push each boundary record through the real
+        # scalar machinery after syncing the staged mass back into the
+        # histogram.
+        n = len(xs)
         query = self._query
-        is_min = query.independent == "min"
         dep_count = query.dependent == "count"
         dep_sum = query.dependent == "sum"
         collect_all = collect == "all"
-
-        finite = np.isfinite(xs) & np.isfinite(ys)
-        running = np.minimum.accumulate(xs) if is_min else np.maximum.accumulate(xs)
-        prior = np.empty(n)
-        prior[0] = self._extremum
-        if n > 1:
-            if is_min:
-                np.minimum(running[:-1], self._extremum, out=prior[1:])
-            else:
-                np.maximum(running[:-1], self._extremum, out=prior[1:])
-        shift = (xs < prior) if is_min else (xs > prior)
-        hard = np.flatnonzero(shift | ~finite)
         hard_pos = 0
 
         inner = self._inner

@@ -227,6 +227,12 @@ class BucketArray:
                 f"mass columns must have {k} entries, got "
                 f"{len(counts)}/{len(weights)}"
             )
+        # Staged numpy columns convert in one call: iterating an ndarray
+        # would box every element as a numpy scalar first.
+        if hasattr(counts, "tolist"):
+            counts = counts.tolist()
+        if hasattr(weights, "tolist"):
+            weights = weights.tolist()
         self._counts = [float(c) for c in counts]
         self._weights = [float(w) for w in weights]
 

@@ -14,9 +14,12 @@ used when numpy is unavailable.
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.landmark_avg
 import repro.core.landmark_extrema
@@ -91,6 +94,10 @@ def _state_fingerprint(estimator) -> dict:
     if ring is not None:
         state["ring"] = [(cell[0], cell[1]) for cell in ring]
     state["ssr"] = getattr(estimator, "_steps_since_rebuild", None)
+    buffer = getattr(estimator, "_buffer", None)
+    state["buffer"] = None if buffer is None else [tuple(r) for r in buffer]
+    for name in ("_extremum", "_region"):
+        state[name] = getattr(estimator, name, None)
     return state
 
 
@@ -295,6 +302,191 @@ def test_collect_last_rejected_before_ingesting(entry):
     with pytest.raises(ConfigurationError, match="choose one of all, none"):
         call()
     assert estimator.obs_state() == before
+
+
+# ------------------------------------------------------------ long warm-ups
+
+#: Queries whose warm-up outlasts the whole USAGE fixture: the region is so
+#: narrow that new extrema keep purging the buffer before it reaches m.
+LONG_WARMUP_QUERIES = {
+    "max_sum": CorrelatedQuery("sum", "max", epsilon=0.5),
+    "min_count": CorrelatedQuery("count", "min", epsilon=0.05),
+}
+LONG_BATCH_SIZES = (1, 7, 1024, 4096)
+
+
+def _long_build(name):
+    return build_estimator(LONG_WARMUP_QUERIES[name], "piecemeal-uniform", num_buckets=10)
+
+
+@pytest.fixture(scope="module")
+def long_streams(stream):
+    """The fixture, then a continuation packed around the extremum.
+
+    The fixture alone never fills the buffer; the continuation fills it
+    (with a few further purges on the way) and then runs the steady
+    state, new extrema included.
+    """
+    top = max(r.x for r in stream)
+    low = min(r.x for r in stream)
+    fracs = [(r.x / top, r.y) for r in stream]
+    return {
+        "max_sum": stream + [Record(top * (0.7 + 0.35 * f), y) for f, y in fracs],
+        "min_count": stream + [Record(low * (0.98 + 0.1 * f), y) for f, y in fracs],
+    }
+
+
+def _warmup_end(name, records):
+    """Index of the tuple whose scalar step builds the histogram."""
+    estimator = _long_build(name)
+    for i, r in enumerate(records):
+        estimator.update(r)
+        if estimator._buffer is None:
+            return i
+    raise AssertionError("the warm-up never ended")
+
+
+def _feed(estimator, records, bounds, entry):
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = records[lo:hi]
+        if entry == "columns":
+            out = estimator.update_columns(
+                [r.x for r in chunk], [r.y for r in chunk], collect="none"
+            )
+        elif entry == "records":
+            out = estimator.update_many(chunk, collect="none")
+        else:
+            out = estimator.update_many([tuple(r) for r in chunk], collect="none")
+        assert out == []
+
+
+def _scalar_run(name, records):
+    """Scalar reference: the final state, or the state at the raise."""
+    estimator = _long_build(name)
+    error = None
+    try:
+        for r in records:
+            estimator.update(r)
+    except StreamError as exc:
+        error = str(exc)
+    return estimator, error
+
+
+ENTRIES = ("columns", "records", "tuples")
+
+
+@pytest.mark.parametrize("name", sorted(LONG_WARMUP_QUERIES))
+@pytest.mark.parametrize("batch_size", LONG_BATCH_SIZES)
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("length", ["fixture", "continued"])
+def test_long_warmup_matches_scalar(name, batch_size, entry, length, long_streams):
+    """Chunks that purge, fill and leave the warm-up land in the scalar
+    state; on the fixture alone they end still warming up."""
+    records = long_streams[name]
+    if length == "fixture":
+        records = records[:SIZE]
+    single, _ = _scalar_run(name, records)
+    assert (single._buffer is not None) == (length == "fixture")
+    batched = _long_build(name)
+    _feed(batched, records, list(range(0, len(records), batch_size)) + [len(records)], entry)
+    assert _state_fingerprint(batched) == _state_fingerprint(single)
+    assert pickle.dumps(batched) == pickle.dumps(single)
+
+
+@pytest.mark.parametrize("name", sorted(LONG_WARMUP_QUERIES))
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_chunk_ending_at_the_build(name, offset, entry, long_streams):
+    """A chunk ending on (or next to) the tuple that fills the buffer."""
+    records = long_streams[name]
+    cut = _warmup_end(name, records) + 1 + offset
+    single, _ = _scalar_run(name, records)
+    batched = _long_build(name)
+    _feed(batched, records, [0, cut, len(records)], entry)
+    assert pickle.dumps(batched) == pickle.dumps(single)
+
+
+@pytest.mark.parametrize("name", sorted(LONG_WARMUP_QUERIES))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -3.0])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_bad_record_mid_warmup_matches_scalar(name, bad, entry, long_streams):
+    """Non-finite and negative x mid-warm-up: same raise (or not), same state.
+
+    A negative x is a refused new minimum for MIN, but for MAX it is an
+    ordinary out-of-region tuple that the warm-up discards.
+    """
+    records = list(long_streams[name])
+    records.insert(600, Record(bad, 1.0))
+    single, error = _scalar_run(name, records)
+    if bad == -3.0:
+        assert (error is None) == (name == "max_sum")
+    else:
+        assert error is not None
+    batched = _long_build(name)
+    if error is None:
+        _feed(batched, records, [0, 512, len(records)], entry)
+    else:
+        with pytest.raises(StreamError) as caught:
+            _feed(batched, records, [0, 512, len(records)], entry)
+        assert str(caught.value) == error
+    assert _state_fingerprint(batched) == _state_fingerprint(single)
+    assert pickle.dumps(batched) == pickle.dumps(single)
+
+
+@given(
+    xs=st.lists(st.integers(0, 24), min_size=1, max_size=120),
+    independent=st.sampled_from(["min", "max"]),
+    chunk=st.integers(1, 30),
+)
+@settings(max_examples=120, deadline=None)
+def test_warmup_ties_on_region_edges(xs, independent, chunk):
+    """Integer streams put tuples exactly on the extremum and on the far
+    edge of the region (for MIN, 8 is 2 * 4; for MAX, 6 is 12 / 2)."""
+    query = CorrelatedQuery("sum", independent, epsilon=1.0)
+    records = [Record(float(x), float(i % 5)) for i, x in enumerate(xs)]
+    single = build_estimator(query, "piecemeal-uniform", num_buckets=6)
+    for r in records:
+        single.update(r)
+    batched = build_estimator(query, "piecemeal-uniform", num_buckets=6)
+    for lo in range(0, len(records), chunk):
+        part = records[lo : lo + chunk]
+        batched.update_columns([r.x for r in part], [r.y for r in part], collect="none")
+    assert pickle.dumps(batched) == pickle.dumps(single)
+
+
+# ---------------------------------------------------- landmark-AVG Welford
+
+_TIES = st.sampled_from([0.0, -0.0, 0.0, 1.0, 2.5])
+
+
+@given(
+    values=st.lists(st.one_of(_TIES, st.floats(0.0, 1e3)), min_size=1, max_size=150),
+    mirror=st.booleans(),
+    chunk=st.integers(1, 40),
+)
+@settings(max_examples=120, deadline=None)
+def test_landmark_avg_moment_replay_keeps_signed_zeros(values, mirror, chunk):
+    """The chunk replay of the running moments matches the scalar pushes,
+    down to which of +0.0 and -0.0 a tied minimum or maximum keeps.
+
+    Non-negative values tie the running minimum at zero; mirrored ones
+    tie the running maximum there.
+    """
+    if mirror:
+        values = [-x for x in values]
+    single = _build("landmark_avg")
+    batched = _build("landmark_avg")
+    for lo in range(0, len(values), chunk):
+        part = values[lo : lo + chunk]
+        for x in part:
+            single.update(Record(x))
+        batched.update_columns(part, collect="none")
+        want = single._moments
+        got = batched._moments
+        assert pickle.dumps(
+            (got._count, got._mean, got._m2, got._min, got._max)
+        ) == pickle.dumps((want._count, want._mean, want._m2, want._min, want._max))
+        assert batched.estimate() == single.estimate()
 
 
 # ------------------------------------------------------------- time-sliding

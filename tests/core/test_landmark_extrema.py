@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,72 @@ class TestValidation:
         est = LandmarkExtremaEstimator(MIN_Q)
         with pytest.raises(StreamError):
             est.update(Record(-1.0))
+
+
+def _update_scalar(est, record):
+    est.update(record)
+
+
+def _update_columns(est, record):
+    est.update_columns([record.x], [record.y], collect="none")
+
+
+def _update_many(est, record):
+    est.update_many([record], collect="none")
+
+
+REFUSAL_ENTRIES = [_update_scalar, _update_columns, _update_many]
+
+
+class TestRefusedRecordDuringWarmup:
+    """A refused record leaves the warm-up state exactly as it found it."""
+
+    @pytest.mark.parametrize("entry", REFUSAL_ENTRIES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("query", [MIN_Q, MAX_Q], ids=["min", "max"])
+    def test_refused_first_tuple(self, entry, query):
+        est = LandmarkExtremaEstimator(query, num_buckets=10)
+        before = pickle.dumps(est)
+        with pytest.raises(StreamError, match="non-negative"):
+            entry(est, Record(-4.0))
+        assert pickle.dumps(est) == before
+        entry(est, Record(3.0, 2.0))
+        fresh = LandmarkExtremaEstimator(query, num_buckets=10)
+        fresh.update(Record(3.0, 2.0))
+        assert pickle.dumps(est) == pickle.dumps(fresh)
+        assert est.extremum == 3.0
+
+    @pytest.mark.parametrize("entry", REFUSAL_ENTRIES, ids=lambda f: f.__name__)
+    def test_refused_mid_warmup_keeps_min_tracking(self, entry):
+        prefix = make_records([5.0, 8.0, 6.0])
+        est = LandmarkExtremaEstimator(MIN_Q, num_buckets=10)
+        for r in prefix:
+            est.update(r)
+        before = pickle.dumps(est)
+        with pytest.raises(StreamError, match="non-negative"):
+            entry(est, Record(-1.0))
+        assert pickle.dumps(est) == before
+        # A real new minimum must still shift the region.
+        entry(est, Record(3.0))
+        assert est.extremum == 3.0
+        assert est.region == (3.0, 6.0)
+        fresh = LandmarkExtremaEstimator(MIN_Q, num_buckets=10)
+        for r in prefix + [Record(3.0)]:
+            fresh.update(r)
+        assert pickle.dumps(est) == pickle.dumps(fresh)
+
+    def test_refused_inside_a_columnar_chunk_keeps_partial_state(self):
+        xs = [5.0, 8.0, 6.0, 7.0, -1.0, 3.0]
+        est = LandmarkExtremaEstimator(MIN_Q, num_buckets=10)
+        with pytest.raises(StreamError, match="non-negative"):
+            est.update_columns(xs, collect="none")
+        scalar = LandmarkExtremaEstimator(MIN_Q, num_buckets=10)
+        for x in xs[:4]:
+            scalar.update(Record(x))
+        assert pickle.dumps(est) == pickle.dumps(scalar)
+        est.update_columns(xs[5:], collect="none")
+        scalar.update(Record(xs[5]))
+        assert pickle.dumps(est) == pickle.dumps(scalar)
+        assert est.extremum == 3.0
 
 
 class TestWarmup:

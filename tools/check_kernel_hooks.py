@@ -42,6 +42,7 @@ HOOK_MARKERS = (
     "_quantile_edges",
     "_seed_histogram",
     "_steady_columns",
+    "_warmup_columns",
     "_columns_supported",
     "_route_columns",
 )
