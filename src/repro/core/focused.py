@@ -53,11 +53,12 @@ recorded before the merge and fails on any drift, down to the last bit.
 from __future__ import annotations
 
 import copy
+import math
 from collections.abc import Iterable
 
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
-from repro.histograms.bucket import ZERO_MASS, BucketArray, Mass
+from repro.histograms.bucket import ZERO_MASS, BucketArray, Mass, credit_accounts
 from repro.histograms.maintenance import merge_split_swap
 from repro.histograms.mass import band_bounds, band_mass, pour_uniform, span_is_exact
 from repro.histograms.partition import uniform_boundaries
@@ -84,9 +85,6 @@ STRATEGIES = ("wholesale", "piecemeal")
 #: kernel, bounding the O(chunk) staging arrays (and the O(chunk * m)
 #: per-record output matrices of ``collect="all"``) on huge batches.
 COLUMN_CHUNK = 16_384
-
-#: Two-tail side labels by column code (0 left, 1 focus, 2 right).
-_TWO_TAIL_SIDES = ("L", "I", "R")
 
 
 class FocusedEstimatorBase:
@@ -693,19 +691,42 @@ class TwoTailSummaryMixin:
             self._after_add()
         return side
 
+    def _account_edges(self):
+        """The fine-bucket edges as a routing table for the account row
+        ``[left tail, *fine buckets, right tail]``.
+
+        ``searchsorted(table, x, side="right")`` is 0 for ``x < low``,
+        ``1 + bucket`` inside and ``m + 1`` for ``x > high``: the top edge
+        sits one ulp up, so ``x == high`` lands in the last fine bucket,
+        where :meth:`BucketArray.locate` puts it.
+        """
+        assert self._inner is not None
+        table = np.array(self._inner.edges)
+        table[-1] = math.nextafter(table[-1], math.inf)
+        return table
+
+    def _credit_accounts(self, idx, ys) -> None:
+        """Credit ``ys[i]`` to account ``idx[i]`` of the account row, in
+        column order (see :func:`~repro.histograms.bucket.credit_accounts`)."""
+        assert self._inner is not None
+        counts, weights = self._inner.mass_columns()
+        left, right = self._left_tail, self._right_tail
+        c, w = credit_accounts(
+            [left.count, *counts, right.count], [left.weight, *weights, right.weight], idx, ys
+        )
+        self._left_tail = Mass(c[0], w[0])
+        self._right_tail = Mass(c[-1], w[-1])
+        self._inner.set_mass_columns(c[1:-1], w[1:-1])
+
     def _route_columns(self, xs, ys) -> list[str]:
         """:meth:`_route_add` over float64 columns, for hosts without
-        per-insert maintenance: each account is credited in column order,
-        and the sides come back as a list."""
+        per-insert maintenance: one account scatter, and the sides come
+        back as a list."""
         assert self._inner is not None
-        left = xs < self._inner.low
-        right = xs > self._inner.high
-        focus = ~(left | right)
-        self._left_tail = self._left_tail.plus_each(ys[left])
-        self._right_tail = self._right_tail.plus_each(ys[right])
-        self._inner.add_many(xs[focus], ys[focus])
-        codes = np.where(left, 0, np.where(right, 2, 1)).tolist()
-        return [_TWO_TAIL_SIDES[code] for code in codes]
+        idx = np.searchsorted(self._account_edges(), xs, side="right")
+        self._credit_accounts(idx, ys)
+        sides = ("L",) + ("I",) * self._inner.num_buckets + ("R",)
+        return [sides[i] for i in idx.tolist()]
 
     def _route_remove(self, record: Record, side: str) -> None:
         """Expire a record from the account its mass was credited to."""

@@ -36,7 +36,6 @@ from __future__ import annotations
 from repro.core.focused import STRATEGIES, FocusedEstimatorBase, TwoTailSummaryMixin
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError
-from repro.histograms.bucket import Mass
 from repro.histograms.partition import normal_quantile_boundaries
 from repro.obs.sink import ObsSink
 from repro.obs.trace import Tracer
@@ -173,44 +172,44 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
     def _steady_columns(self, xs, ys, record_at, outputs, collect: str) -> None:
         """Vectorised steady-state ingestion for the landmark-AVG scope.
 
-        A pure-Python replay of the Welford recurrence produces the
-        per-record moment trace (bit-identical to ``RunningMoments.push``,
-        since pushes are pure and deterministic); the CLT focus target is
-        then evaluated for the whole chunk at once, and the stream is cut
-        into segments at *boundary records* — reallocation triggers and
-        non-finite inputs — which run through the real scalar machinery
-        after the staged state is synced.  Between boundaries the focus
-        region is static, so tail mass accumulates via sequential-order
-        cumulative sums and fine-bucket mass via an unbuffered scatter,
-        both bit-identical to the scalar loop.
+        Python replays only the running mean, the one step that must run
+        tuple by tuple; ``m2`` is the seeded ``np.add.accumulate`` of its
+        increments ``(x - mean_before) * (x - mean_after)``, the count is
+        a range and the extrema are running accumulations, so the
+        per-record moment trace is bit-identical to ``RunningMoments.push``.
+        The CLT focus target is then evaluated for the whole chunk at
+        once, and the stream is cut into segments at *boundary records* —
+        reallocation triggers and the first non-finite input — which run
+        through the real scalar machinery after the moments are synced.
+        Between boundaries the focus region is static, so each segment is
+        routed with one ``searchsorted`` over the account row ``[left
+        tail, *fine buckets, right tail]`` and credited with one
+        order-preserving account scatter, as the scalar loop would.
         """
         n = len(xs)
         moments = self._moments
         cnt0 = moments._count
         mean = moments._mean
-        m2 = moments._m2
-        state0 = (cnt0, mean, m2, moments._min, moments._max)
-        # Only the Welford recurrence itself needs the Python loop: the
-        # count is a range, and the extrema are running accumulations.
-        mean_l: list[float] = []
-        m2_l: list[float] = []
-        ap_mean = mean_l.append
-        ap_m2 = m2_l.append
-        cnt = cnt0
-        for x in xs.tolist():
-            cnt += 1
-            delta = x - mean
-            mean += delta / cnt
-            m2 += delta * (x - mean)
-            ap_mean(mean)
-            ap_m2(m2)
-        cnt_l = range(cnt0 + 1, cnt0 + n + 1)
-        mn_a = _running_extremum(moments._min, xs, np.minimum)
-        mx_a = _running_extremum(moments._max, xs, np.maximum)
+        bad = ~(np.isfinite(xs) & np.isfinite(ys))
+        first_bad = int(np.argmax(bad)) if bad.any() else n
+        # The trace stops at the first non-finite record: the scalar
+        # path raises there, so nothing after it is ever read.
+        tx = xs[:first_bad]
+        cnt_l = range(cnt0 + 1, cnt0 + first_bad + 1)
+        mean_l = [mean := mean + (x - mean) / k for x, k in zip(tx.tolist(), cnt_l)]
+        means = np.concatenate(((moments._mean,), mean_l))
+        mean_a = means[1:]
+        m2_a = np.empty(first_bad + 1)
+        m2_a[0] = moments._m2
+        # Python floats overflow to inf silently; the numpy trace must too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(tx - means[:-1], tx - mean_a, out=m2_a[1:])
+            np.add.accumulate(m2_a, out=m2_a)
+        m2_a = m2_a[1:]
+        mn_a = _running_extremum(moments._min, tx, np.minimum)
+        mx_a = _running_extremum(moments._max, tx, np.maximum)
 
-        cnt_a = np.arange(cnt0 + 1, cnt0 + n + 1, dtype=np.float64)
-        mean_a = np.asarray(mean_l)
-        m2_a = np.asarray(m2_l)
+        cnt_a = np.arange(cnt0 + 1, cnt0 + first_bad + 1, dtype=np.float64)
         # _clt_interval, op for op (max/min ties on ±0.0 only affect the
         # sign of a zero, which the trigger comparison takes abs() of).
         se = np.sqrt(np.maximum(m2_a / cnt_a, 0.0)) / np.sqrt(cnt_a)
@@ -227,9 +226,6 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
             )
             lo_a = np.where(degenerate, np.maximum(mean_a - span, mn_a), lo_a)
             hi_a = np.where(degenerate, lo_a + 2.0 * span, hi_a)
-
-        bad = ~(np.isfinite(xs) & np.isfinite(ys))
-        first_bad = int(np.argmax(bad)) if bad.any() else n
 
         pos = 0
         scan_block = 1024
@@ -254,56 +250,23 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
                 block = stop
 
             if boundary > pos:
-                sx = xs[pos:boundary]
-                sy = ys[pos:boundary]
-                is_left = sx < il
-                is_right = sx > ih
-                n_left = int(np.count_nonzero(is_left))
-                n_right = int(np.count_nonzero(is_right))
-                if n_left:
-                    tail = self._left_tail
-                    self._left_tail = Mass(
-                        float(np.cumsum(np.concatenate(((tail.count,), np.ones(n_left))))[-1]),
-                        float(np.cumsum(np.concatenate(((tail.weight,), sy[is_left])))[-1]),
-                    )
-                if n_right:
-                    tail = self._right_tail
-                    self._right_tail = Mass(
-                        float(np.cumsum(np.concatenate(((tail.count,), np.ones(n_right))))[-1]),
-                        float(np.cumsum(np.concatenate(((tail.weight,), sy[is_right])))[-1]),
-                    )
-                in_focus = ~(is_left | is_right)
-                if in_focus.any():
-                    counts, weights = inner.mass_columns()
-                    counts_a = np.asarray(counts)
-                    weights_a = np.asarray(weights)
-                    edges = np.asarray(inner.edges)
-                    idx = np.searchsorted(edges, sx[in_focus], side="right") - 1
-                    np.minimum(idx, len(counts) - 1, out=idx)
-                    np.add.at(counts_a, idx, 1.0)
-                    np.add.at(weights_a, idx, sy[in_focus])
-                    inner.set_mass_columns(counts_a, weights_a)
-
-            if boundary < n:
-                # Sync the moments to the pre-boundary trace entry, then
-                # run the boundary record through the real scalar path:
-                # its push re-derives the trace entry bit-for-bit, and
-                # reallocation (or the non-finite raise) happens exactly
-                # where the scalar loop would have put it.
-                j = boundary - 1
-                if j >= 0:
-                    moments.load(
-                        cnt_l[j], mean_l[j], m2_l[j], float(mn_a[j]), float(mx_a[j])
-                    )
-                else:
-                    moments.load(*state0)
-                self._absorb(record_at(boundary))
-                pos = boundary + 1
-            else:
-                moments.load(
-                    cnt_l[-1], mean_l[-1], m2_l[-1], float(mn_a[-1]), float(mx_a[-1])
+                self._credit_accounts(
+                    np.searchsorted(self._account_edges(), xs[pos:boundary], side="right"),
+                    ys[pos:boundary],
                 )
-                pos = n
+                # Sync the moments to the segment's last trace entry.  With
+                # no segment they already hold the entry before pos: the
+                # chunk's start state, or the boundary record's own push.
+                j = boundary - 1
+                moments.load(cnt_l[j], mean_l[j], float(m2_a[j]), float(mn_a[j]), float(mx_a[j]))
+            if boundary == n:
+                break
+            # The boundary record runs through the real scalar path: its
+            # push re-derives the trace entry bit for bit, and reallocation
+            # (or the non-finite raise) happens exactly where the scalar
+            # loop would have put it.
+            self._absorb(record_at(boundary))
+            pos = boundary + 1
 
     def _regime_break(self, lo: float, hi: float, old_lo: float, old_hi: float) -> bool:
         # The mean cannot jump without the data moving it: only true

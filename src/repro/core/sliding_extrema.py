@@ -33,7 +33,7 @@ from __future__ import annotations
 from repro.core.focused import STRATEGIES, FocusedEstimatorBase, RingWindowMixin
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
-from repro.histograms.bucket import ZERO_MASS, Mass
+from repro.histograms.bucket import ZERO_MASS, Mass, credit_accounts
 from repro.histograms.mass import pour_uniform
 from repro.histograms.partition import quantile_boundaries_from_values, uniform_boundaries
 from repro.histograms.reallocate import piecemeal_reallocate, wholesale_reallocate
@@ -191,13 +191,20 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         return "T"
 
     def _route_columns(self, xs, ys) -> list[str]:
-        """:meth:`_route_add` over float64 columns (no per-insert swaps)."""
+        """:meth:`_route_add` over float64 columns (no per-insert swaps):
+        one account scatter over ``[*fine buckets, tail]``."""
         inner = self._inner
         assert inner is not None
+        m = inner.num_buckets
         focus = (xs <= inner.high) if self._mode == "min" else (xs >= inner.low)
-        inner.add_many(np.clip(xs[focus], inner.low, inner.high), ys[focus])
-        self._tail = self._tail.plus_each(ys[~focus])
-        return ["I" if inside else "T" for inside in focus.tolist()]
+        idx = np.searchsorted(inner.edges, np.clip(xs, inner.low, inner.high), side="right") - 1
+        np.minimum(idx, m - 1, out=idx)
+        idx[~focus] = m  # the catch-all tail is account m
+        counts, weights = inner.mass_columns()
+        c, w = credit_accounts([*counts, self._tail.count], [*weights, self._tail.weight], idx, ys)
+        inner.set_mass_columns(c[:m], w[:m])
+        self._tail = Mass(c[m], w[m])
+        return ["I" if i < m else "T" for i in idx.tolist()]
 
     def _route_remove(self, record: Record, side: str) -> None:
         """Expire a record from the account its mass was credited to."""

@@ -52,28 +52,27 @@ class Mass(NamedTuple):
         """Both components floored at zero (for post-deletion estimates)."""
         return Mass(max(self.count, 0.0), max(self.weight, 0.0))
 
-    def plus_each(self, ys: Sequence[float]) -> "Mass":
-        """This mass after crediting one tuple per ``y`` in ``ys``, in order.
-
-        Exactly ``m = Mass(m.count + 1.0, m.weight + y)`` per entry: each
-        sum is one sequential ``cumsum`` seeded with the current value
-        (``np.sum`` adds pairwise and would round differently).  Needs
-        numpy; the column routing that calls it runs only when numpy is
-        present.
-        """
-        n = len(ys)
-        if not n:
-            return self
-        column = np.empty(n + 1)
-        column[0] = self.count
-        column[1:] = 1.0
-        count = float(np.cumsum(column)[-1])
-        column[0] = self.weight
-        column[1:] = ys
-        return Mass(count, float(np.cumsum(column)[-1]))
-
 
 ZERO_MASS = Mass(0.0, 0.0)
+
+
+def credit_accounts(
+    counts: Sequence[float], weights: Sequence[float], idx, ys
+) -> tuple[list[float], list[float]]:
+    """Accounts ``(counts, weights)`` after crediting ``Mass(1.0, ys[i])``
+    to account ``idx[i]`` for every ``i``, in column order.
+
+    The column kernels stage their tails and fine buckets as one row of
+    accounts and route a whole column at once.  ``np.add.at`` applies
+    its updates one by one in argument order, so each account sees the
+    scalar loop's float additions exactly, starting from its current
+    value.  Needs numpy; the callers run only when numpy is present.
+    """
+    acc_c = np.array(counts, dtype=np.float64)
+    acc_w = np.array(weights, dtype=np.float64)
+    np.add.at(acc_c, idx, 1.0)
+    np.add.at(acc_w, idx, ys)
+    return acc_c.tolist(), acc_w.tolist()
 
 
 class BucketArray:
@@ -177,39 +176,6 @@ class BucketArray:
         """Pour raw mass into bucket ``index`` (used by reallocation)."""
         self._counts[index] += mass.count
         self._weights[index] += mass.weight
-
-    def add_many(self, xs: Sequence[float], ys: Sequence[float]) -> None:
-        """Add a column of tuples: exactly ``add(x, y)`` per pair, in order.
-
-        Vectorised when numpy is available — one ``searchsorted`` plus
-        sequential scatter-adds (``np.add.at`` applies element-by-element
-        in argument order, so float accumulation matches the scalar loop
-        bit for bit).  The first out-of-range value raises the same
-        :class:`HistogramError` ``add`` would, with every preceding pair
-        already applied.
-        """
-        if np is None:
-            for x, y in zip(xs, ys):
-                self.add(x, y)
-            return
-        vx = np.asarray(xs, dtype=np.float64)
-        vy = np.asarray(ys, dtype=np.float64)
-        lo, hi = self._edges[0], self._edges[-1]
-        bad = ~((vx >= lo) & (vx <= hi))
-        stop = int(np.argmax(bad)) if bad.any() else len(vx)
-        if stop:
-            idx = np.searchsorted(np.asarray(self._edges), vx[:stop], side="right") - 1
-            np.minimum(idx, len(self._counts) - 1, out=idx)
-            counts = np.asarray(self._counts)
-            weights = np.asarray(self._weights)
-            np.add.at(counts, idx, 1.0)
-            np.add.at(weights, idx, vy[:stop])
-            self._counts = counts.tolist()
-            self._weights = weights.tolist()
-        if stop < len(vx):
-            raise HistogramError(
-                f"value {float(vx[stop])!r} outside histogram range [{lo}, {hi}]"
-            )
 
     def mass_columns(self) -> tuple[list[float], list[float]]:
         """``(counts, weights)`` as parallel lists — staging copies for

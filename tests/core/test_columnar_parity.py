@@ -65,8 +65,21 @@ def columns(stream):
     return xs, ys
 
 
+def _bits(value):
+    """``value`` with every float spelled out by ``float.hex``, so an
+    equality test tells +0.0 from -0.0 (and a NaN equals itself)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    return value
+
+
 def _state_fingerprint(estimator) -> dict:
-    """Every piece of kernel state the columnar path stages and writes back."""
+    """Every piece of kernel state the columnar path stages and writes
+    back, floats compared bit for bit."""
     state: dict = {"estimate": estimator.estimate(), "obs": estimator.obs_state()}
     inner = getattr(estimator, "_inner", None)
     if inner is not None:
@@ -98,7 +111,7 @@ def _state_fingerprint(estimator) -> dict:
     state["buffer"] = None if buffer is None else [tuple(r) for r in buffer]
     for name in ("_extremum", "_region"):
         state[name] = getattr(estimator, name, None)
-    return state
+    return _bits(state)
 
 
 def _build(family):
@@ -487,6 +500,27 @@ def test_landmark_avg_moment_replay_keeps_signed_zeros(values, mirror, chunk):
             (got._count, got._mean, got._m2, got._min, got._max)
         ) == pickle.dumps((want._count, want._mean, want._m2, want._min, want._max))
         assert batched.estimate() == single.estimate()
+
+
+@pytest.mark.parametrize(
+    "family, mirror",
+    [(family, False) for family in sorted(FAMILY_QUERIES)]
+    + [("landmark_avg", True), ("sliding_avg", True)],
+)
+@pytest.mark.parametrize("batch_size", [7, 4096])
+def test_signed_zero_ties_match_scalar(family, mirror, batch_size):
+    """Zeros of both signs tie the running minimum (the maximum, mirrored)
+    after warm-up; the fingerprint sees which zero each path kept."""
+    values = [float(i % 7) for i in range(60)] + [-0.0, 3.0, 0.0, -0.0, 5.0] * 8
+    if mirror:
+        values = [-x for x in values]
+    single = _build(family)
+    for x in values:
+        single.update(Record(x))
+    batched = _build(family)
+    for i in range(0, len(values), batch_size):
+        batched.update_columns(values[i : i + batch_size], collect="none")
+    assert _state_fingerprint(batched) == _state_fingerprint(single)
 
 
 # ------------------------------------------------------------- time-sliding

@@ -1,11 +1,11 @@
 """The batched from-window reseed against the record-at-a-time loop.
 
 A periodic or regime rebuild re-routes the whole live window.  Under the
-uniform policy that happens as columns (numpy classification, sequential
-``cumsum`` tail credits, ``BucketArray.add_many``); these tests run each
-sliding estimator next to a twin whose reseed is the old scalar loop and
-require every answer and every piece of summary state to match bit for
-bit.  The quantile policy's merge/split swap fires mid-reseed, so it must
+uniform policy that happens as columns (one ``searchsorted`` to an
+account index, one account scatter over tails and fine buckets); these
+tests run each sliding estimator next to a twin whose reseed is the old
+scalar loop and require every answer and every piece of summary state to
+match bit for bit.  The quantile policy's merge/split swap fires mid-reseed, so it must
 keep the scalar loop.
 """
 

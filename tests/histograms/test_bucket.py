@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, HistogramError
-from repro.histograms.bucket import ZERO_MASS, BucketArray, Mass
+from repro.histograms.bucket import ZERO_MASS, BucketArray, Mass, credit_accounts
 
 
 class TestMass:
@@ -320,25 +320,42 @@ class TestOverlapOnlyEstimate:
         assert array.estimate_between(0.5, 2.5) == Mass(0.5 + 10.0 + 50.0, 1.0 + 20.0 + 100.0)
 
 
-class TestPlusEach:
+class TestCreditAccounts:
     @given(
-        start=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e6, 1e6)),
-        ys=st.lists(
-            st.one_of(st.floats(-1e12, 1e12), st.sampled_from([0.0, -0.0, 1e-9])),
+        start=st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 2.5, -1e6])),
+            min_size=1,
+            max_size=5,
+        ),
+        credits=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.one_of(st.floats(-1e12, 1e12), st.sampled_from([0.0, -0.0, 1e-9])),
+            ),
             max_size=60,
         ),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_the_sequential_scalar_credit(self, start, ys):
-        want = Mass(*start)
-        for y in ys:
-            want = want + Mass(1.0, y)
-        got = Mass(*start).plus_each(np.asarray(ys, dtype=np.float64))
-        assert (got.count.hex(), got.weight.hex()) == (want.count.hex(), want.weight.hex())
+    def test_matches_the_sequential_scalar_credit(self, start, credits):
+        credits = [(i % len(start), y) for i, y in credits]
+        want = [Mass(*mass) for mass in start]
+        for i, y in credits:
+            want[i] = Mass(want[i].count + 1.0, want[i].weight + y)
+        counts, weights = credit_accounts(
+            [c for c, _ in start],
+            [w for _, w in start],
+            np.asarray([i for i, _ in credits], dtype=np.int64),
+            np.asarray([y for _, y in credits], dtype=np.float64),
+        )
+        assert [(c.hex(), w.hex()) for c, w in zip(counts, weights)] == [
+            (m.count.hex(), m.weight.hex()) for m in want
+        ]
 
     def test_seeded_with_the_current_value(self):
-        # 0.0 + -0.0 is 0.0; an unseeded cumsum would start at -0.0.
-        got = ZERO_MASS.plus_each(np.asarray([-0.0]))
-        assert got.weight.hex() == "0x0.0p+0"
-        assert got == Mass(1.0, 0.0)
-        assert ZERO_MASS.plus_each(np.asarray([])) is ZERO_MASS
+        # 0.0 + -0.0 is 0.0; an account left alone keeps its -0.0.
+        counts, weights = credit_accounts(
+            [0.0, 0.0], [0.0, -0.0], np.asarray([0]), np.asarray([-0.0])
+        )
+        assert [w.hex() for w in weights] == ["0x0.0p+0", "-0x0.0p+0"]
+        assert counts == [1.0, 0.0]
+        assert all(type(v) is float for v in counts + weights)

@@ -72,7 +72,10 @@ FAMILIES = {
     "landmark_avg": {
         "query": CorrelatedQuery("count", "avg"),
         "vectorized": True,
-        "note": "vectorised CLT target over a python Welford trace",
+        "note": (
+            "python replays only the running mean; M2 by seeded accumulate, "
+            "vectorised CLT target, one account scatter per segment"
+        ),
     },
     "sliding_extrema": {
         "query": CorrelatedQuery("count", "min", epsilon=99.0, window=WINDOW),
